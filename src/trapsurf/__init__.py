@@ -13,10 +13,8 @@ from .extrinsic import (
     classify_submanifold,
     expansion,
     extrinsic_data,
-    mean_curvature,
     null_normal_pair,
     second_fundamental_form,
-    shape_tensor,
 )
 from .geometry import (
     Causal,
@@ -66,13 +64,11 @@ __all__ = [
     "first_variation_density",
     "flow_volume_oracle",
     "killing_integral_check",
-    "mean_curvature",
     "metric_from_expressions",
     "null_killing_constraint_check",
     "null_normal_pair",
     "rhs_identity",
     "second_fundamental_form",
-    "shape_tensor",
     "vector_field_from_expressions",
     "volume_variation",
 ]

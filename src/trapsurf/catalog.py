@@ -72,6 +72,8 @@ class CatalogEntry:
 
 def _minkowski(dimension=4.0):
     dim = int(dimension)
+    if dim != dimension:
+        raise ParamOutOfRange(f"minkowski.dimension={dimension} must be an integer")
     coords = ("t", "x", "y", "z")[:dim] if dim <= 4 else tuple(
         ["t"] + [f"x{i}" for i in range(1, dim)]
     )
@@ -603,10 +605,3 @@ def instantiate(name, **params):
     if entry.builder is None:
         raise UnknownEntry(f"{name!r} is a scenario, not an instantiable object")
     return entry.builder(**entry.resolve_params(params))
-
-
-def closed_embedding_names():
-    return [
-        e.name for e in list_entries()
-        if e.kind == "embedding" and instantiate(e.name).closed
-    ]

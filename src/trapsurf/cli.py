@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import catalog, variation
-from .config import (RunConfig, build_embedding, build_fields, load_config)
+from .config import (RunConfig, build_embedding, build_fields, check_tolerances,
+                     grid_spec, load_config)
 from .errors import ConfigError, ParamOutOfRange, TrapsurfError, UnknownEntry
 from .extrinsic import classify_submanifold
 from .geometry import NULL_BAND_TOL
@@ -88,7 +89,7 @@ def parse_tol_overrides(items):
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        out[name] = float(value)
+        out[name] = value
     return out
 
 
@@ -110,18 +111,13 @@ def config_from_args(args):
     return cfg
 
 
-def grid_for(config, args, dim):
-    if args.grid:
-        pts = tuple(int(n) for n in args.grid.split(","))
-    else:
-        pts = config.grid.points_per_axis
-        if len(pts) != dim:
-            pts = (16,) * dim
-    if len(pts) != dim:
-        raise ConfigError(
-            f"grid has {len(pts)} axes but the embedding has {dim} parameters"
-        )
-    return GridSpec(pts, config.grid.rule)
+def grid_for(args, dim, default):
+    """The --grid option, else `default`, for an embedding of dimension `dim`."""
+    grid = grid_spec(args.grid.split(","), default.rule) if args.grid else default
+    if len(grid.points_per_axis) != dim:
+        raise ConfigError(f"grid has {len(grid.points_per_axis)} axes but the "
+                          f"embedding has {dim} parameters")
+    return grid
 
 
 def _collect_output_paths(config, args):
@@ -137,15 +133,15 @@ def _collect_output_paths(config, args):
 
 def cmd_classify(args):
     config = config_from_args(args)
-    tols = dict(config.tolerances)
-    tols.update(parse_tol_overrides(args.tol))
+    tols = check_tolerances({**config.tolerances, **parse_tol_overrides(args.tol)})
     embedding = build_embedding(config)
-    grid = grid_for(config, args, embedding.dim)
+    default = config.grid
+    if len(default.points_per_axis) != embedding.dim:
+        default = GridSpec((16,) * embedding.dim, default.rule)
+    grid = grid_for(args, embedding.dim, default)
     report = classify_submanifold(
         embedding, grid, tol=tols.get("null_band", NULL_BAND_TOL)
     )
-    report_dict = report.to_dict()
-    report_dict["seed"] = args.seed
     text = (
         f"embedding: {embedding.name}\n"
         f"metric:    {embedding.ambient.name}\n"
@@ -158,7 +154,7 @@ def cmd_classify(args):
         text += f"note: {note}\n"
     print(text, end="")
     write_outputs(
-        report_dict,
+        report.to_dict(),
         report.to_csv_rows(embedding.param_names),
         *_collect_output_paths(config, args),
         text_body=text,
@@ -221,9 +217,7 @@ def _verify_killing(args):
     results = []
     ok = True
     for emb, xi in cases:
-        grid = GridSpec((24,) * emb.dim) if not args.grid else GridSpec(
-            tuple(int(n) for n in args.grid.split(","))
-        )
+        grid = grid_for(args, emb.dim, GridSpec((24,) * emb.dim))
         res = variation.killing_integral_check(emb, xi, grid)
         passed = res.residual < 1e-6 and res.obstruction_ok
         ok = ok and passed
@@ -272,9 +266,7 @@ def _verify_variation(args):
     results = []
     ok = True
     for emb, xi in pairs:
-        grid = GridSpec((16,) * emb.dim) if not args.grid else GridSpec(
-            tuple(int(n) for n in args.grid.split(","))
-        )
+        grid = grid_for(args, emb.dim, GridSpec((16,) * emb.dim))
         direct = variation.volume_variation(emb, xi, grid)
         flow = variation.FlowSpec(field=xi, tau_step=args.tau)
         oracle = variation.flow_volume_oracle(emb, flow, grid)
@@ -359,7 +351,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="path to a JSON run configuration")
         p.add_argument("--grid", help="grid points per axis, e.g. 32,64")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-json", help="write the JSON report here")
 
     p_cls = sub.add_parser("classify", help="classify H over a submanifold")
@@ -373,6 +364,7 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run identity verification suites")
     p_ver.add_argument("check", choices=("eq3", "killing", "variation"))
     common(p_ver)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--triples", type=int, default=200,
                        help="random triples for eq3")
     p_ver.add_argument("--pairs", type=int, default=20,

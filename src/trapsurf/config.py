@@ -7,7 +7,7 @@ rejected by name so typos fail loudly.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import catalog
 from .embedding import embedding_from_expressions
@@ -28,7 +28,7 @@ _EMBEDDING_INLINE_KEYS = {"parameters", "map", "domain", "periodic", "closed",
 _FIELD_INLINE_KEYS = {"coordinates", "components", "constants", "name"}
 _GRID_KEYS = {"points_per_axis", "rule"}
 _OUTPUT_KEYS = {"format", "path"}
-_TOLERANCE_NAMES = {"null_band", "conformal", "normal"}
+_TOLERANCE_NAMES = {"null_band"}
 
 
 def _require_mapping(obj, where):
@@ -41,6 +41,34 @@ def _check_keys(obj, allowed, where):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def grid_spec(points, rule="auto"):
+    """A GridSpec from configuration or command-line values."""
+    try:
+        return GridSpec(tuple(points), rule)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid grid {points!r} ({rule!r}): {exc}") from None
+
+
+def check_tolerances(tols):
+    """Named tolerance values as floats, each known and inside its range."""
+    out = {}
+    for name, val in tols.items():
+        if name not in _TOLERANCE_NAMES:
+            raise ConfigError(
+                f"unknown tolerance {name!r}; valid: {sorted(_TOLERANCE_NAMES)}"
+            )
+        try:
+            val = float(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"tolerance {name}={val!r} is not a number") from None
+        if not TOL_MIN <= val <= TOL_MAX:
+            raise ConfigError(
+                f"tolerance {name}={val} outside [{TOL_MIN}, {TOL_MAX}]"
+            )
+        out[name] = val
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,14 +97,6 @@ class ObjectRef:
             return cls(inline=dict(inline))
         params = _require_mapping(obj.get("params", {}), f"{where}.params")
         return cls(catalog=str(obj["catalog"]), params=dict(params))
-
-    def to_dict(self):
-        if self.inline is not None:
-            return {"inline": dict(self.inline)}
-        out = {"catalog": self.catalog}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,21 +134,9 @@ class RunConfig:
         )
         grid_data = _require_mapping(data.get("grid", {}), "grid")
         _check_keys(grid_data, _GRID_KEYS, "grid")
-        grid = GridSpec(
-            tuple(grid_data.get("points_per_axis", (16, 16))),
-            grid_data.get("rule", "auto"),
-        )
+        grid = grid_spec(grid_data.get("points_per_axis", (16, 16)),
+                         grid_data.get("rule", "auto"))
         tols = _require_mapping(data.get("tolerances", {}), "tolerances")
-        for name, val in tols.items():
-            if name not in _TOLERANCE_NAMES:
-                raise ConfigError(
-                    f"unknown tolerance {name!r}; valid: {sorted(_TOLERANCE_NAMES)}"
-                )
-            val = float(val)
-            if not TOL_MIN <= val <= TOL_MAX:
-                raise ConfigError(
-                    f"tolerance {name}={val} outside [{TOL_MIN}, {TOL_MAX}]"
-                )
         outputs = []
         for i, out in enumerate(data.get("outputs", [])):
             _require_mapping(out, f"outputs[{i}]")
@@ -145,28 +153,9 @@ class RunConfig:
             metric=metric,
             fields=fields,
             grid=grid,
-            tolerances={k: float(v) for k, v in tols.items()},
+            tolerances=check_tolerances(tols),
             outputs=tuple(outputs),
         )
-
-    def to_dict(self):
-        out = {
-            "schema_version": self.schema_version,
-            "embedding": self.embedding.to_dict(),
-        }
-        if self.metric is not None:
-            out["metric"] = self.metric.to_dict()
-        if self.fields:
-            out["fields"] = [f.to_dict() for f in self.fields]
-        out["grid"] = {
-            "points_per_axis": list(self.grid.points_per_axis),
-            "rule": self.grid.rule,
-        }
-        if self.tolerances:
-            out["tolerances"] = dict(self.tolerances)
-        if self.outputs:
-            out["outputs"] = [dict(o) for o in self.outputs]
-        return out
 
 
 def load_config(path):
@@ -178,9 +167,17 @@ def load_config(path):
     return RunConfig.from_dict(data)
 
 
+def _from_catalog(ref: ObjectRef, kind):
+    entry = catalog.get_entry(ref.catalog)
+    if entry.kind != kind:
+        raise ConfigError(f"catalog entry {entry.name!r} has kind "
+                          f"{entry.kind!r}, expected {kind!r}")
+    return catalog.instantiate(entry.name, **ref.params)
+
+
 def build_metric(ref: ObjectRef):
     if ref.catalog is not None:
-        return catalog.instantiate(ref.catalog, **ref.params)
+        return _from_catalog(ref, "metric")
     inline = ref.inline
     return metric_from_expressions(
         inline["coordinates"],
@@ -196,7 +193,7 @@ def build_metric(ref: ObjectRef):
 def build_embedding(config: RunConfig):
     ref = config.embedding
     if ref.catalog is not None:
-        return catalog.instantiate(ref.catalog, **ref.params)
+        return _from_catalog(ref, "embedding")
     inline = ref.inline
     ambient = build_metric(config.metric)
     return embedding_from_expressions(
@@ -215,7 +212,7 @@ def build_fields(config: RunConfig, ambient):
     built = []
     for ref in config.fields:
         if ref.catalog is not None:
-            built.append(catalog.instantiate(ref.catalog, **ref.params))
+            built.append(_from_catalog(ref, "vector_field"))
         else:
             inline = ref.inline
             built.append(

@@ -17,10 +17,16 @@ POLE_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class InducedPointData:
-    """Per-point bundle at one parameter point u."""
+    """Per-point bundle at one parameter point u.
+
+    `Embedding.induced` is the one place a node's ambient metric is
+    evaluated; consumers read g and |g| from this bundle.
+    """
 
     u: np.ndarray
     p: np.ndarray
+    g: np.ndarray           # ambient g_{mu nu} at p
+    absg: np.ndarray        # positive-definite reference norm |g| at p
     frame: np.ndarray       # e[mu, a] = d Phi^mu / d u^a
     gamma: np.ndarray       # gamma_{ab} = g(e_a, e_b)
     gamma_inv: np.ndarray
@@ -113,6 +119,8 @@ class Embedding:
         return InducedPointData(
             u=u,
             p=p,
+            g=g,
+            absg=absg,
             frame=e,
             gamma=gamma,
             gamma_inv=np.linalg.inv(gamma),
@@ -120,23 +128,16 @@ class Embedding:
         )
 
     def decompose(self, u, v, data=None):
-        """Split an ambient vector at Phi(u) into (tangent, normal) parts."""
+        """Split ambient vectors at Phi(u) into (tangent, normal) parts.
+
+        `v` is one vector (D,) or a block of column vectors (D, k).
+        """
         if data is None:
             data = self.induced(u)
         v = np.asarray(v, dtype=float)
-        g = self.ambient.at(data.p)
-        w = data.frame.T @ g @ v             # w_b = g(e_b, v)
+        w = data.frame.T @ data.g @ v        # w_b = g(e_b, v)
         v_tan = data.frame @ (data.gamma_inv @ w)
         return v_tan, v - v_tan
-
-    def is_spacelike(self, grid: GridSpec):
-        """True iff gamma is positive definite at every grid point."""
-        points, _ = quadrature.grid_nodes(self.param_domain, self.periodic, grid)
-        for u in points:
-            data = self.induced(u)
-            if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
-                return False
-        return True
 
     def volume(self, grid: GridSpec, allow_boundary=False):
         """Quadrature of the induced volume density over the parameter box."""

@@ -98,15 +98,6 @@ def make_symbols(names):
     return {name: sp.Symbol(name, real=True) for name in names}
 
 
-def lambdify_scalar(expr, syms):
-    f = sp.lambdify(syms, expr, modules="numpy")
-
-    def wrapped(x):
-        return float(f(*np.asarray(x, dtype=float)))
-
-    return wrapped
-
-
 def lambdify_array(exprs, syms):
     """Lambdify a nested list / sympy Array of expressions into x -> ndarray."""
     arr = sp.Array(exprs)

@@ -14,7 +14,7 @@ import numpy as np
 from . import quadrature
 from .embedding import Embedding, InducedPointData
 from .errors import NotNormal, NotSpacelike
-from .geometry import NULL_BAND_TOL, Causal, TimeOrientation
+from .geometry import NULL_BAND_TOL, Causal, TimeOrientation, causal_label
 from .quadrature import GridSpec
 
 NORMAL_TOL = 1e-6
@@ -49,34 +49,23 @@ def extrinsic_data(E: Embedding, u) -> ExtrinsicData:
     hess = E.second_frame_at(u)
     # grad[mu, a, b] = d_a e_b^mu + Gamma^mu_{rho sigma} e_a^rho e_b^sigma
     grad = hess + np.einsum("mrs,ra,sb->mab", gam, data.frame, data.frame)
-    d = E.dim
+    # project the a <= b entries in one block and mirror them
+    a, b = np.triu_indices(E.dim)
+    _, normal = E.decompose(u, grad[:, a, b], data=data)
     shape = np.empty_like(grad)
-    for a in range(d):
-        for b in range(a, d):
-            _, normal = E.decompose(u, grad[:, a, b], data=data)
-            shape[:, a, b] = -normal
-            shape[:, b, a] = -normal
+    shape[:, a, b] = shape[:, b, a] = -normal
     h_vec = np.einsum("ab,mab->m", data.gamma_inv, shape)
-    h2 = float(h_vec @ E.ambient.at(data.p) @ h_vec)
+    h2 = float(h_vec @ data.g @ h_vec)
     return ExtrinsicData(base=data, shape=shape, mean_curvature=h_vec, h_norm2=h2)
-
-
-def shape_tensor(E: Embedding, u):
-    return extrinsic_data(E, u).shape
-
-
-def mean_curvature(E: Embedding, u):
-    return extrinsic_data(E, u).mean_curvature
 
 
 def _check_normal(E, data, n, tol):
     n = np.asarray(n, dtype=float)
-    g = E.ambient.at(data.p)
-    absg = E.ambient.reference_norm_matrix(data.p)
+    absg = data.absg
     n_ref = np.sqrt(max(float(n @ absg @ n), 0.0))
     for a in range(E.dim):
         e_ref = np.sqrt(max(float(data.frame[:, a] @ absg @ data.frame[:, a]), 0.0))
-        if abs(float(n @ g @ data.frame[:, a])) > tol * (1.0 + n_ref * e_ref):
+        if abs(float(n @ data.g @ data.frame[:, a])) > tol * (1.0 + n_ref * e_ref):
             raise NotNormal(
                 f"vector {n} is not normal to {E.name!r} at u={data.u}"
             )
@@ -87,23 +76,21 @@ def second_fundamental_form(E: Embedding, u, n, tol=NORMAL_TOL):
     """(K_n)_{ab} = g(n, K(e_a, e_b)) for a normal vector n."""
     ext = extrinsic_data(E, u)
     n = _check_normal(E, ext.base, n, tol)
-    g = E.ambient.at(ext.base.p)
-    return np.einsum("m,mn,nab->ab", n, g, ext.shape)
+    return np.einsum("m,mn,nab->ab", n, ext.base.g, ext.shape)
 
 
 def expansion(E: Embedding, u, n, tol=NORMAL_TOL):
     """g(H, n), the expansion along the normal n."""
     ext = extrinsic_data(E, u)
     n = _check_normal(E, ext.base, n, tol)
-    return float(ext.mean_curvature @ E.ambient.at(ext.base.p) @ n)
+    return float(ext.mean_curvature @ ext.base.g @ n)
 
 
 def normal_space_basis(E: Embedding, u, data=None):
     """Orthocomplement basis: columns span the normal space at Phi(u)."""
     if data is None:
         data = E.induced(u)
-    g = E.ambient.at(data.p)
-    a_mat = data.frame.T @ g  # (d, D); kernel = normal space
+    a_mat = data.frame.T @ data.g  # (d, D); kernel = normal space
     _, _, vt = np.linalg.svd(a_mat)
     return vt[E.dim:].T
 
@@ -121,7 +108,7 @@ def null_normal_pair(E: Embedding, u, outward):
     data = E.induced(u)
     if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
         raise NotSpacelike(f"{E.name!r} not spacelike at u={u}")
-    g = E.ambient.at(data.p)
+    g = data.g
     basis = normal_space_basis(E, u, data=data)
     h = basis.T @ g @ basis  # 2x2 normal metric, Lorentzian
     w, v = np.linalg.eigh(h)
@@ -129,8 +116,7 @@ def null_normal_pair(E: Embedding, u, outward):
         raise NotSpacelike("normal metric is not Lorentzian")
     w_time = basis @ (v[:, 0] / np.sqrt(-w[0]))
     w_space = basis @ (v[:, 1] / np.sqrt(w[1]))
-    t_vec = np.asarray(E.ambient.time_orientation(data.p), dtype=float)
-    if float(w_time @ g @ t_vec) > 0.0:
+    if float(w_time @ g @ E.ambient.future_vector(data.p)) > 0.0:
         w_time = -w_time
     l_a = (w_time + w_space) / np.sqrt(2.0)
     l_b = (w_time - w_space) / np.sqrt(2.0)
@@ -163,23 +149,21 @@ def classify_point(E: Embedding, u, tol=NULL_BAND_TOL) -> PointLabel:
     data = ext.base
     if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
         raise NotSpacelike(f"{E.name!r} not spacelike at u={u}")
-    causal, time = E.ambient.causal_character(ext.mean_curvature, data.p, tol=tol)
-    absg = E.ambient.reference_norm_matrix(data.p)
-    scale = float(ext.mean_curvature @ absg @ ext.mean_curvature)
+    g, h_vec = data.g, ext.mean_curvature
+    t_vec = E.ambient.future_vector(data.p)
+    causal, time = causal_label(h_vec, g, data.absg, t_vec, tol=tol)
+    scale = float(h_vec @ data.absg @ h_vec)
     ref_norm = np.sqrt(max(scale, 0.0))
     margin = abs(ext.h_norm2) / scale - tol if scale > 0.0 else 0.0
     theta = None
     if E.codim == 1:
         n = normal_space_basis(E, u, data=data)[:, 0]
-        g = E.ambient.at(data.p)
         n2 = float(n @ g @ n)
         n = n / np.sqrt(abs(n2))
         n2 = float(n @ g @ n)
-        if n2 < 0.0:  # orient timelike normals to the future
-            t_vec = np.asarray(E.ambient.time_orientation(data.p), dtype=float)
-            if float(n @ g @ t_vec) > 0.0:
-                n = -n
-        theta = float(ext.mean_curvature @ g @ n) / n2
+        if n2 < 0.0 and float(n @ g @ t_vec) > 0.0:
+            n = -n  # orient timelike normals to the future
+        theta = float(h_vec @ g @ n) / n2
     return PointLabel(
         u=data.u,
         causal=causal,
@@ -303,9 +287,9 @@ def classify_submanifold(E: Embedding, grid: GridSpec, tol=NULL_BAND_TOL):
             "null-nonzero thresholds; refine the grid or adjust tolerances"
         )
     if E.codim == 1:
-        g = E.ambient.at(E.point(points[0]))
-        n = normal_space_basis(E, points[0])[:, 0]
-        if float(n @ g @ n) < 0.0:
+        data = E.induced(points[0])
+        n = normal_space_basis(E, points[0], data=data)[:, 0]
+        if float(n @ data.g @ n) < 0.0:
             notes.append("hypersurface with timelike normal: H = theta * n; "
                          "theta == 0 everywhere means a maximal hypersurface")
     return ClassificationReport(

@@ -31,6 +31,33 @@ class TimeOrientation(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
+def _absolute(g):
+    w, v = np.linalg.eigh(g)
+    return (v * np.abs(w)) @ v.T
+
+
+def causal_label(v, g, absg, t_vec, tol=NULL_BAND_TOL):
+    """Classify a vector as (Causal, TimeOrientation), given the metric g,
+    its reference norm |g| and the future vector T at the vector's base point.
+
+    The null band is |g(v,v)| <= tol * |g|(v,v); the zero label applies
+    when all components are below tol in magnitude.
+    """
+    v = np.asarray(v, dtype=float)
+    if np.max(np.abs(v), initial=0.0) < tol:
+        return Causal.ZERO, TimeOrientation.NOT_APPLICABLE
+    q = float(v @ g @ v)
+    scale = float(v @ absg @ v)
+    if abs(q) <= tol * scale:
+        label = Causal.NULL
+    elif q < 0.0:
+        label = Causal.TIMELIKE
+    else:
+        return Causal.SPACELIKE, TimeOrientation.NOT_APPLICABLE
+    future = float(v @ g @ t_vec) < 0.0
+    return label, TimeOrientation.FUTURE if future else TimeOrientation.PAST
+
+
 def as_point(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or not np.all(np.isfinite(p)):
@@ -145,40 +172,22 @@ class MetricField:
 
     def reference_norm_matrix(self, p):
         """Positive-definite |g|: same eigenvectors, absolute eigenvalues."""
-        g = self.at(p)
-        w, v = np.linalg.eigh(g)
-        return (v * np.abs(w)) @ v.T
+        return _absolute(self.at(p))
 
-    def inner(self, p, u, v):
-        return float(np.asarray(u) @ self.at(p) @ np.asarray(v))
-
-    def causal_character(self, v, p, tol=NULL_BAND_TOL):
-        """Classify a vector at p as (Causal, TimeOrientation).
-
-        The null band is |g(v,v)| <= tol * scale(v) where scale is the
-        positive-definite reference norm; the zero label applies when all
-        components are below tol in magnitude.
-        """
+    def future_vector(self, p):
+        """The declared future-pointing vector T^mu at p."""
         if not self.is_lorentzian:
             raise ValueError("causal classification requires a Lorentzian metric")
         if self.time_orientation is None:
             raise ValueError("causal classification requires a time orientation")
+        return np.asarray(self.time_orientation(p), dtype=float)
+
+    def causal_character(self, v, p, tol=NULL_BAND_TOL):
+        """Classify a vector at p as (Causal, TimeOrientation); see causal_label."""
         p = as_point(p)
-        v = np.asarray(v, dtype=float)
-        if np.max(np.abs(v), initial=0.0) < tol:
-            return Causal.ZERO, TimeOrientation.NOT_APPLICABLE
+        t_vec = self.future_vector(p)
         g = self.at(p)
-        q = float(v @ g @ v)
-        scale = float(v @ self.reference_norm_matrix(p) @ v)
-        if abs(q) <= tol * scale:
-            label = Causal.NULL
-        elif q < 0.0:
-            label = Causal.TIMELIKE
-        else:
-            return Causal.SPACELIKE, TimeOrientation.NOT_APPLICABLE
-        t_vec = np.asarray(self.time_orientation(p), dtype=float)
-        future = float(v @ g @ t_vec) < 0.0
-        return label, TimeOrientation.FUTURE if future else TimeOrientation.PAST
+        return causal_label(v, g, _absolute(g), t_vec, tol=tol)
 
     def lie_derivative(self, xi: VectorField, p):
         """(Lie_xi g)_{mu nu} at p."""

@@ -24,14 +24,11 @@ class FlowSpec:
 
     field: VectorField
     tau_step: float
-    integrator_order: int = 4
     steps: int = 1
 
     def __post_init__(self):
         if self.tau_step <= 0.0 or self.steps < 1:
             raise ValueError("need tau_step > 0 and steps >= 1")
-        if self.integrator_order != 4:
-            raise ValueError("only the classical 4th-order integrator is available")
 
     @property
     def tau(self):
@@ -47,14 +44,6 @@ def first_variation_density(E: Embedding, xi: VectorField, u):
     return 0.5 * float(np.einsum("ab,ab->", data.gamma_inv, pulled))
 
 
-def tangential_components(E: Embedding, xi: VectorField, u):
-    """Pullback of the tangential part of xi: bar-xi^a = gamma^{ab} g(e_b, xi)."""
-    data = E.induced(u)
-    g = E.ambient.at(data.p)
-    w = data.frame.T @ g @ xi.at(data.p)
-    return data.gamma_inv @ w
-
-
 def surface_divergence(E: Embedding, xi: VectorField, u):
     """div of the tangential pullback, via (1/sqrt g) d_a (sqrt g bar-xi^a).
 
@@ -65,8 +54,7 @@ def surface_divergence(E: Embedding, xi: VectorField, u):
 
     def density_flux(x):
         data = E.induced(x)
-        g = E.ambient.at(data.p)
-        w = data.frame.T @ g @ xi.at(data.p)
+        w = data.frame.T @ data.g @ xi.at(data.p)
         return data.vol_density * (data.gamma_inv @ w)
 
     total = 0.0
@@ -78,9 +66,8 @@ def surface_divergence(E: Embedding, xi: VectorField, u):
 def rhs_identity(E: Embedding, xi: VectorField, u):
     """div(bar-xi) + g(xi, H); equals first_variation_density analytically."""
     ext = extrinsic_data(E, u)
-    g = E.ambient.at(ext.base.p)
     return surface_divergence(E, xi, u) + float(
-        xi.at(ext.base.p) @ g @ ext.mean_curvature
+        xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature
     )
 
 
@@ -112,10 +99,10 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
     exp_vals = np.empty(len(points))
     for i, u in enumerate(points):
         ext = extrinsic_data(E, u)
-        g = E.ambient.at(ext.base.p)
         div_vals[i] = surface_divergence(E, xi, u) * ext.base.vol_density
         exp_vals[i] = (
-            float(xi.at(ext.base.p) @ g @ ext.mean_curvature) * ext.base.vol_density
+            float(xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature)
+            * ext.base.vol_density
         )
     div_term = float(np.sum(weights * div_vals))
     exp_term = float(np.sum(weights * exp_vals))
@@ -253,9 +240,8 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
     dens = np.empty(len(points))
     for i, u in enumerate(points):
         ext = extrinsic_data(E, u)
-        g = E.ambient.at(ext.base.p)
         psi_vals[i] = conformal.psi(ext.base.p)
-        flux_vals[i] = float(xi.at(ext.base.p) @ g @ ext.mean_curvature)
+        flux_vals[i] = float(xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature)
         dens[i] = ext.base.vol_density
     lhs = float(np.sum(weights * psi_vals * dens))
     flux = float(np.sum(weights * flux_vals * dens))
@@ -327,8 +313,7 @@ def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
         ext = extrinsic_data(E, u)
         xi_val = xi.at(ext.base.p)
         h_vec = ext.mean_curvature
-        absg = E.ambient.reference_norm_matrix(ext.base.p)
-        scale = np.sqrt(max(float(h_vec @ absg @ h_vec), 0.0))
+        scale = np.sqrt(max(float(h_vec @ ext.base.absg @ h_vec), 0.0))
         if ext.h_norm2 > tol * max(scale * scale, 1.0):
             spacelike = True
         denom = float(xi_val @ xi_val)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from trapsurf import catalog, cli
+from trapsurf.cli import EQ3_EMBEDDINGS, VARIATION_EMBEDDINGS
 from trapsurf.extrinsic import classify_submanifold, extrinsic_data
 from trapsurf.quadrature import GridSpec
 from trapsurf.sampling import random_polynomial_field
@@ -32,17 +33,6 @@ from trapsurf.variation import (
 )
 
 from conftest import cat
-
-IDENTITY_EMBEDDINGS = (
-    "round_sphere", "ring_torus", "flat_torus", "accelerated_curve",
-    "spacelike_plane", "comoving_sphere_rw", "t_const_hypersurface_rw",
-    "ef_sphere", "ppwave_wavy_torus",
-)
-VARIATION_EMBEDDINGS = (
-    "round_sphere", "ring_torus", "flat_torus", "comoving_sphere_rw",
-    "ef_sphere", "ppwave_wavy_torus",
-)
-
 
 def _report(ok, label, detail):
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -62,7 +52,7 @@ def _identity_residual(embeddings, triples, seed):
 
 
 def test_criterion_1_volume_element_identity():
-    analytic = [cat(n) for n in IDENTITY_EMBEDDINGS]
+    analytic = [cat(n) for n in EQ3_EMBEDDINGS]
     worst = _identity_residual(analytic, 200, seed=0)
     ok = worst < 1e-6
     fd = [e.without_analytic_derivatives() for e in analytic]

@@ -90,7 +90,7 @@ def test_time_orientations_are_timelike(rng):
         for _ in range(10):
             p = draw()
             t_vec = np.asarray(metric.time_orientation(p), dtype=float)
-            assert metric.inner(p, t_vec, t_vec) < 0.0
+            assert t_vec @ metric.at(p) @ t_vec < 0.0
 
 
 def test_declared_symmetry_fields_pass_conformal_residual(rng):
@@ -126,8 +126,16 @@ def test_parameters_change_the_geometry():
     assert np.allclose(mink3.at([0, 0, 0]), np.diag([-1.0, 1.0, 1.0]))
 
 
+def test_minkowski_dimension_must_be_an_integer():
+    with pytest.raises(ParamOutOfRange, match="integer"):
+        catalog.instantiate("minkowski", dimension=1.7)
+    with pytest.raises(ParamOutOfRange, match="integer"):
+        catalog.instantiate("minkowski", dimension=3.5)
+
+
 def test_closed_embedding_names():
-    closed = set(catalog.closed_embedding_names())
+    closed = {e.name for e in catalog.list_entries()
+              if e.kind == "embedding" and cat(e.name).closed}
     assert "round_sphere" in closed and "ring_torus" in closed
     assert "spacelike_plane" not in closed and "straight_line" not in closed
 

@@ -26,6 +26,7 @@ def test_classify_trapped_sphere(tmp_path, capsys):
     assert report["kind"] == "classification"
     assert report["verdict"] == "FutureTrapped"
     assert report["grid"] == {"points_per_axis": [8, 16], "rule": "auto"}
+    assert "seed" not in report
     assert len(report["points"]) == 128
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].split(",") == ["u1", "u2", "h_norm2", "label", "margin"]
@@ -90,6 +91,38 @@ def test_classify_errors(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--embedding", "round_sphere",
                        "--grid", "4,4", "--tol", "null_band")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--embedding", "round_sphere", "--grid", "8,x"),
+    ("classify", "--embedding", "round_sphere", "--grid", "1,4"),
+    ("verify", "killing", "--grid", "8"),
+    ("verify", "variation", "--pairs", "1", "--grid", "4"),
+])
+def test_malformed_grid_is_config_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("name", ["minkowski", "time_translation"])
+def test_embedding_of_wrong_kind_is_config_error(capsys, name):
+    code, _, err = run(capsys, "classify", "--embedding", name)
+    assert code == 64
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert name in report["error"]["message"]
+
+
+def test_classify_rejects_unused_options(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["classify", "--embedding", "round_sphere", "--seed", "3"])
+    capsys.readouterr()
+    for tol in ("conformal=1e-8", "normal=1e-6", "null_band=abc"):
+        code, _, err = run(capsys, "classify", "--embedding", "round_sphere",
+                           "--grid", "4,4", "--tol", tol)
+        assert code == 64
+        assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
 def test_catalog_commands(capsys):

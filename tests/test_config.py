@@ -53,10 +53,11 @@ INLINE_CONFIG = {
 }
 
 
-def test_round_trip():
+def test_round_trip(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(FULL_CONFIG))
     cfg = RunConfig.from_dict(FULL_CONFIG)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    assert load_config(path) == cfg
     assert cfg.grid == GridSpec((8, 16), "auto")
     assert cfg.tolerances == {"null_band": 1e-8}
 
@@ -107,6 +108,40 @@ def test_tolerance_validation():
     bad["tolerances"] = {"null_band": 1.0}
     with pytest.raises(ConfigError):
         RunConfig.from_dict(bad)
+    bad["tolerances"] = {"null_band": "small"}
+    with pytest.raises(ConfigError, match="number"):
+        RunConfig.from_dict(bad)
+    # only null_band is read by any command
+    for name in ("conformal", "normal"):
+        bad["tolerances"] = {name: 1e-8}
+        with pytest.raises(ConfigError, match=name):
+            RunConfig.from_dict(bad)
+
+
+def test_grid_validation():
+    bad = json.loads(json.dumps(FULL_CONFIG))
+    bad["grid"] = {"points_per_axis": [1, 4]}
+    with pytest.raises(ConfigError, match="grid"):
+        RunConfig.from_dict(bad)
+    bad["grid"] = {"points_per_axis": [8, 8], "rule": "simpson"}
+    with pytest.raises(ConfigError, match="grid"):
+        RunConfig.from_dict(bad)
+
+
+def test_catalog_kind_is_checked():
+    wrong = json.loads(json.dumps(FULL_CONFIG))
+    wrong["embedding"] = {"catalog": "minkowski"}
+    with pytest.raises(ConfigError, match="minkowski"):
+        build_embedding(RunConfig.from_dict(wrong))
+    wrong = json.loads(json.dumps(FULL_CONFIG))
+    wrong["metric"] = {"catalog": "round_sphere"}
+    with pytest.raises(ConfigError, match="round_sphere"):
+        build_metric(RunConfig.from_dict(wrong).metric)
+    wrong = json.loads(json.dumps(FULL_CONFIG))
+    wrong["fields"] = [{"catalog": "schwarzschild_ef"}]
+    cfg = RunConfig.from_dict(wrong)
+    with pytest.raises(ConfigError, match="schwarzschild_ef"):
+        build_fields(cfg, build_metric(cfg.metric))
 
 
 def test_output_validation():

@@ -66,14 +66,6 @@ def test_rank_deficient_map_rejected():
         collapsed.induced([0.5, 0.5])
 
 
-def test_is_spacelike():
-    grid = GridSpec((6, 6))
-    assert cat("round_sphere").is_spacelike(grid)
-    assert not cat("timelike_plane").is_spacelike(grid)
-    assert cat("t_const_hypersurface_rw").is_spacelike(GridSpec((4, 4, 4)))
-    assert not cat("straight_line").is_spacelike(GridSpec((4,)))
-
-
 def test_decompose_examples():
     sphere = cat("round_sphere")
     u = [math.pi / 2, 0.0]
@@ -101,6 +93,21 @@ def test_decompose_properties(rng):
         tan2, nor2 = emb.decompose(u, tan, data=data)
         assert np.allclose(tan2, tan, atol=1e-10)
         assert np.allclose(nor2, 0.0, atol=1e-10)
+
+
+def test_decompose_block_matches_columns(rng):
+    for name in ("ef_sphere", "t_const_hypersurface_rw", "accelerated_curve"):
+        emb = cat(name)
+        u = emb.random_parameter_point(rng)
+        data = emb.induced(u)
+        block = rng.normal(size=(emb.ambient.dim, 3))
+        tan, nor = emb.decompose(u, block, data=data)
+        for k in range(3):
+            tan_k, nor_k = emb.decompose(u, block[:, k], data=data)
+            # matrix and vector products may sum in another order: a few ulps
+            ulps = 16 * np.finfo(float).eps * (np.abs(tan_k).max() + np.abs(nor_k).max())
+            assert np.abs(tan[:, k] - tan_k).max() <= ulps
+            assert np.abs(nor[:, k] - nor_k).max() <= ulps
 
 
 def test_closed_volumes():

@@ -5,7 +5,7 @@ import sympy as sp
 
 from trapsurf.errors import InvalidExpression
 from trapsurf.expressions import (
-    lambdify_scalar,
+    lambdify_array,
     make_symbols,
     parse_expression,
     parse_matrix,
@@ -19,8 +19,8 @@ def syms():
 
 def test_parse_basic(syms):
     expr = parse_expression("r**2 * sin(th)**2", syms)
-    fn = lambdify_scalar(expr, [syms["r"], syms["th"]])
-    assert fn([2.0, math.pi / 2]) == pytest.approx(4.0)
+    fn = lambdify_array([expr], [syms["r"], syms["th"]])
+    assert fn([2.0, math.pi / 2])[0] == pytest.approx(4.0)
 
 
 def test_caret_is_power(syms):

@@ -10,13 +10,11 @@ from trapsurf.extrinsic import (
     classify_submanifold,
     expansion,
     extrinsic_data,
-    mean_curvature,
     normal_space_basis,
     null_normal_pair,
     second_fundamental_form,
-    shape_tensor,
 )
-from trapsurf.geometry import Causal, TimeOrientation
+from trapsurf.geometry import Causal, MetricField, TimeOrientation
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -34,7 +32,9 @@ def test_totally_geodesic_cases(rng):
         emb = cat(name)
         for _ in range(5):
             u = emb.random_parameter_point(rng)
-            assert np.max(np.abs(shape_tensor(emb, u))) < 1e-12
+            shape = extrinsic_data(emb, u).shape
+            assert shape.shape == (emb.ambient.dim, emb.dim, emb.dim)
+            assert np.max(np.abs(shape)) < 1e-12
 
 
 def test_sphere_shape_tensor_closed_form(rng):
@@ -118,7 +118,7 @@ def test_mean_curvature_closed_forms(rng):
     worldline = cat("comoving_worldline_rw")
     for _ in range(5):
         u = worldline.random_parameter_point(rng)
-        assert np.max(np.abs(mean_curvature(worldline, u))) < 1e-10
+        assert np.max(np.abs(extrinsic_data(worldline, u).mean_curvature)) < 1e-10
 
 
 def test_ef_sphere_mean_curvature_closed_form(rng):
@@ -188,6 +188,25 @@ def test_classify_point_examples():
     assert lab.causal is Causal.ZERO
     with pytest.raises(NotSpacelike):
         classify_point(cat("timelike_plane"), [0.2, 0.2])
+
+
+def test_node_geometry_is_evaluated_once(monkeypatch):
+    counts = {"at": 0, "reference_norm_matrix": 0, "decompose": 0}
+    for cls, name in ((MetricField, "at"), (MetricField, "reference_norm_matrix"),
+                      (Embedding, "decompose")):
+        def counted(self, *args, _original=getattr(cls, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    report = classify_submanifold(cat("ef_sphere"), GridSpec((4, 8)))
+    nodes = len(report.labels)
+    assert nodes == 32
+    # g once for the bundle, once inside |g|, once for the Christoffels
+    assert counts["at"] <= 3 * nodes
+    assert counts["reference_norm_matrix"] <= nodes
+    assert counts["decompose"] == nodes
 
 
 def test_classification_verdicts():
