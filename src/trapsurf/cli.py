@@ -135,10 +135,8 @@ def cmd_classify(args):
     config = config_from_args(args)
     tols = check_tolerances({**config.tolerances, **parse_tol_overrides(args.tol)})
     embedding = build_embedding(config)
-    default = config.grid
-    if len(default.points_per_axis) != embedding.dim:
-        default = GridSpec((16,) * embedding.dim, default.rule)
-    grid = grid_for(args, embedding.dim, default)
+    grid = grid_for(args, embedding.dim,
+                    config.grid or GridSpec((16,) * embedding.dim))
     report = classify_submanifold(
         embedding, grid, tol=tols.get("null_band", NULL_BAND_TOL)
     )

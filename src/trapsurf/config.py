@@ -105,7 +105,7 @@ class RunConfig:
     embedding: ObjectRef
     metric: ObjectRef = None
     fields: tuple = ()
-    grid: GridSpec = GridSpec((16, 16))
+    grid: GridSpec = None   # None: the command's default for the embedding
     tolerances: dict = field(default_factory=dict)
     outputs: tuple = ()
 
@@ -132,10 +132,14 @@ class RunConfig:
             ObjectRef.parse(f, f"fields[{i}]", _FIELD_INLINE_KEYS)
             for i, f in enumerate(data.get("fields", []))
         )
-        grid_data = _require_mapping(data.get("grid", {}), "grid")
-        _check_keys(grid_data, _GRID_KEYS, "grid")
-        grid = grid_spec(grid_data.get("points_per_axis", (16, 16)),
-                         grid_data.get("rule", "auto"))
+        grid = None
+        if "grid" in data:
+            grid_data = _require_mapping(data["grid"], "grid")
+            _check_keys(grid_data, _GRID_KEYS, "grid")
+            if "points_per_axis" not in grid_data:
+                raise ConfigError("grid requires points_per_axis")
+            grid = grid_spec(grid_data["points_per_axis"],
+                             grid_data.get("rule", "auto"))
         tols = _require_mapping(data.get("tolerances", {}), "tolerances")
         outputs = []
         for i, out in enumerate(data.get("outputs", [])):
@@ -193,7 +197,17 @@ def build_metric(ref: ObjectRef):
 def build_embedding(config: RunConfig):
     ref = config.embedding
     if ref.catalog is not None:
-        return _from_catalog(ref, "embedding")
+        embedding = _from_catalog(ref, "embedding")
+        if config.metric is not None:
+            metric = build_metric(config.metric)
+            ambient = embedding.ambient
+            if (metric.name, metric.coordinates) != (ambient.name, ambient.coordinates):
+                raise ConfigError(
+                    f"metric {metric.name!r} is not the ambient metric "
+                    f"{ambient.name!r} of catalog embedding {ref.catalog!r}; "
+                    "a catalog embedding brings its own metric"
+                )
+        return embedding
     inline = ref.inline
     ambient = build_metric(config.metric)
     return embedding_from_expressions(

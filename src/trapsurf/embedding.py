@@ -2,24 +2,41 @@
 volume density and quadrature.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import sympy as sp
 
 from . import expressions, findiff, quadrature
 from .errors import DegenerateInducedMetric, NotClosed, RankDeficientImmersion
-from .geometry import MetricField, as_point
+from .geometry import MetricField, absolute_metric, as_point, as_points, raise_first
 from .quadrature import GridSpec
 
 POLE_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class InducedPointData:
-    """Per-point bundle at one parameter point u.
+class NodeBundle:
+    """A bundle of per-node arrays.  From a block kernel every field has a
+    leading node axis; `node(i)` is the per-point bundle of node i."""
 
-    `Embedding.induced` is the one place a node's ambient metric is
+    def node(self, i):
+        return type(self)(**{f.name: _node_value(getattr(self, f.name), i)
+                             for f in fields(self)})
+
+
+def _node_value(value, i):
+    if isinstance(value, NodeBundle):
+        return value.node(i)
+    value = value[i]
+    return float(value) if np.ndim(value) == 0 else value
+
+
+@dataclass(frozen=True)
+class InducedPointData(NodeBundle):
+    """Induced data at parameter points u: one point, or a block from
+    `Embedding.induced_block` with a leading node axis on every field.
+
+    `Embedding.induced_block` is the one place a node's ambient metric is
     evaluated; consumers read g and |g| from this bundle.
     """
 
@@ -39,11 +56,14 @@ class Embedding:
 
     `chart_map(u)` returns the ambient point; `jacobian(u)` (optional,
     analytic) returns J[mu, a] = d Phi^mu / d u^a and `hessian(u)` returns
-    H[mu, a, b] = d^2 Phi^mu / d u^a d u^b.  `param_domain` is the
+    H[mu, a, b] = d^2 Phi^mu / d u^a d u^b.  Callables not marked blockwise
+    are lifted to blocks (one call per node).  `param_domain` is the
     axis-aligned sampling/quadrature box; evaluation outside it is allowed
     wherever the map and ambient chart remain valid (finite differences
     need that slack).  `closed` asserts compact-without-boundary and is
-    trusted, not detected.
+    trusted, not detected.  The `*_block` methods evaluate a block of
+    parameter points (N, d) in one call; the per-point methods are their
+    N = 1 case.
     """
 
     ambient: MetricField
@@ -73,6 +93,8 @@ class Embedding:
             object.__setattr__(
                 self, "param_names", tuple(f"u{a + 1}" for a in range(self.dim))
             )
+        for name in ("chart_map", "jacobian", "hessian"):
+            object.__setattr__(self, name, expressions.lift(getattr(self, name)))
 
     @property
     def codim(self):
@@ -81,61 +103,77 @@ class Embedding:
     def point(self, u):
         return np.asarray(self.chart_map(as_point(u)), dtype=float)
 
-    def frame_at(self, u):
-        u = as_point(u)
+    def point_block(self, us):
+        return np.asarray(self.chart_map(as_points(us)), dtype=float)
+
+    def frame_block(self, us):
+        """e[k, mu, a] = d Phi^mu / d u^a at each node of a block."""
+        us = as_points(us)
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(u), dtype=float)
-        return findiff.gradient(self.chart_map, u).T  # -> [mu, a]
+            return np.asarray(self.jacobian(us), dtype=float)
+        return np.swapaxes(findiff.gradient(self.chart_map, us), -1, -2)
+
+    def frame_at(self, u):
+        return self.frame_block(as_point(u)[None])[0]
+
+    def second_frame_block(self, us):
+        """H[k, mu, a, b] = d_a d_b Phi^mu at each node of a block."""
+        us = as_points(us)
+        if self.hessian is not None:
+            return np.asarray(self.hessian(us), dtype=float)
+        if self.jacobian is not None:
+            # d_a of the analytic jacobian: grad[k, a, mu, b] -> [k, mu, a, b]
+            return findiff.gradient(self.jacobian, us).transpose(0, 2, 1, 3)
+        return findiff.hessian(self.chart_map, us).transpose(0, 3, 1, 2)
 
     def second_frame_at(self, u):
         """H[mu, a, b] = d_a d_b Phi^mu."""
-        u = as_point(u)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(u), dtype=float)
-        if self.jacobian is not None:
-            # d_a of the analytic jacobian: grad[a, mu, b] -> [mu, a, b]
-            return findiff.gradient(lambda x: self.jacobian(x), u).transpose(1, 0, 2)
-        return findiff.hessian(self.chart_map, u).transpose(2, 0, 1)
+        return self.second_frame_block(as_point(u)[None])[0]
 
-    def induced(self, u):
-        """Frame, induced metric, inverse and volume density at u."""
-        u = as_point(u)
-        p = self.point(u)
-        g = self.ambient.at(p)
-        e = self.frame_at(u)
-        if np.linalg.matrix_rank(e, tol=1e-10 * (1.0 + np.abs(e).max())) < self.dim:
-            raise RankDeficientImmersion(
-                f"jacobian of {self.name!r} rank-deficient at u={u}"
-            )
-        gamma = e.T @ g @ e
-        gamma = 0.5 * (gamma + gamma.T)
-        absg = self.ambient.reference_norm_matrix(p)
-        ref = np.array([e[:, a] @ absg @ e[:, a] for a in range(self.dim)])
+    def induced_block(self, us):
+        """Frame, induced metric, inverse and volume density at a block of
+        parameter points (N, d).  A failing check names its first node."""
+        us = as_points(us)
+        p = self.point_block(us)
+        g = self.ambient.metric_block(p)
+        e = self.frame_block(us)
+        rank = np.linalg.matrix_rank(e, tol=1e-10 * (1.0 + np.abs(e).max(axis=(1, 2))))
+        raise_first(rank < self.dim, RankDeficientImmersion, lambda i: (
+            f"jacobian of {self.name!r} rank-deficient at u={us[i]}"))
+        gamma = np.swapaxes(e, 1, 2) @ g @ e
+        gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
+        absg = absolute_metric(g)
+        ref = np.einsum("kma,kmn,kna->ka", e, absg, e)
         det = np.linalg.det(gamma)
-        if abs(det) < 1e-12 * np.prod(np.maximum(ref, np.finfo(float).tiny)):
-            raise DegenerateInducedMetric(
-                f"induced metric of {self.name!r} degenerate at u={u}"
-            )
+        tiny = np.finfo(float).tiny
+        raise_first(np.abs(det) < 1e-12 * np.prod(np.maximum(ref, tiny), axis=1),
+                    DegenerateInducedMetric, lambda i: (
+                        f"induced metric of {self.name!r} degenerate at u={us[i]}"))
         return InducedPointData(
-            u=u,
+            u=us,
             p=p,
             g=g,
             absg=absg,
             frame=e,
             gamma=gamma,
             gamma_inv=np.linalg.inv(gamma),
-            vol_density=float(np.sqrt(abs(det))),
+            vol_density=np.sqrt(np.abs(det)),
         )
+
+    def induced(self, u):
+        """Frame, induced metric, inverse and volume density at u."""
+        return self.induced_block(as_point(u)[None]).node(0)
 
     def decompose(self, u, v, data=None):
         """Split ambient vectors at Phi(u) into (tangent, normal) parts.
 
-        `v` is one vector (D,) or a block of column vectors (D, k).
+        `v` is one vector (D,) or a block of column vectors (D, k); with
+        `data` from `induced_block`, it is (N, D, k), one block per node.
         """
         if data is None:
             data = self.induced(u)
         v = np.asarray(v, dtype=float)
-        w = data.frame.T @ data.g @ v        # w_b = g(e_b, v)
+        w = np.swapaxes(data.frame, -1, -2) @ data.g @ v    # w_b = g(e_b, v)
         v_tan = data.frame @ (data.gamma_inv @ w)
         return v_tan, v - v_tan
 
@@ -147,7 +185,7 @@ class Embedding:
                 "to integrate over the open parameter box anyway"
             )
         return quadrature.integrate(
-            lambda u: self.induced(u).vol_density,
+            lambda us: self.induced_block(us).vol_density,
             self.param_domain,
             self.periodic,
             grid,

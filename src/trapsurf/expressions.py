@@ -98,15 +98,53 @@ def make_symbols(names):
     return {name: sp.Symbol(name, real=True) for name in names}
 
 
+def blockwise(fn):
+    """Mark `fn` as evaluating a whole block of points (N, n) in one call."""
+    fn.blockwise = True
+    return fn
+
+
+def lift(fn):
+    """`fn` as a callable on blocks of points (N, n).
+
+    A callable marked `blockwise` is returned as it is.  Any other callable
+    is taken to accept one point (n,): the lifted version calls it once per
+    node and stacks the results, and passes a single point straight through.
+    None stays None.
+    """
+    if fn is None or getattr(fn, "blockwise", False):
+        return fn
+
+    def lifted(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return fn(x)
+        return np.array([np.asarray(fn(row), dtype=float) for row in x])
+
+    return blockwise(lifted)
+
+
 def lambdify_array(exprs, syms):
-    """Lambdify a nested list / sympy Array of expressions into x -> ndarray."""
+    """Lambdify a nested list / sympy Array of expressions into a blockwise
+    x -> ndarray.
+
+    One point x (n,) gives an array of the expressions' shape; a block
+    (N, n) gives (N, *shape) from one call.  Constant entries, which numpy
+    evaluates to scalars, are broadcast over the block.
+    """
     arr = sp.Array(exprs)
-    f = sp.lambdify(syms, arr.tolist(), modules="numpy")
+    shape = arr.shape
+    entries = sp.flatten(arr.tolist())
+    f = sp.lambdify(syms, entries, modules="numpy")
 
     def wrapped(x):
-        return np.asarray(f(*np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (len(entries),))
+        for k, value in enumerate(f(*np.moveaxis(x, -1, 0))):
+            out[..., k] = value
+        return out.reshape(x.shape[:-1] + shape)
 
-    return wrapped
+    return blockwise(wrapped)
 
 
 def parse_matrix(rows, symbols, constants=None):

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .embedding import Embedding, InducedPointData
+from .embedding import Embedding, InducedPointData, NodeBundle
 from .errors import NotNormal, NotSpacelike
-from .geometry import NULL_BAND_TOL, Causal, TimeOrientation, causal_label
+from .geometry import (NULL_BAND_TOL, Causal, TimeOrientation, as_point,
+                       causal_label, raise_first)
 from .quadrature import GridSpec
 
 NORMAL_TOL = 1e-6
@@ -33,8 +34,9 @@ VERDICTS = (
 
 
 @dataclass(frozen=True)
-class ExtrinsicData:
-    """Shape tensor and mean curvature bundle at one parameter point."""
+class ExtrinsicData(NodeBundle):
+    """Shape tensor and mean curvature bundle at one parameter point, or at
+    a block of them (see `InducedPointData`)."""
 
     base: InducedPointData
     shape: np.ndarray            # K[mu, a, b], normal-valued, symmetric in (a, b)
@@ -42,21 +44,28 @@ class ExtrinsicData:
     h_norm2: float               # g(H, H)
 
 
-def extrinsic_data(E: Embedding, u) -> ExtrinsicData:
-    """Compute K and H at u via the ambient connection and normal projection."""
-    data = E.induced(u)
-    gam = E.ambient.christoffel_at(data.p)
-    hess = E.second_frame_at(u)
+def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
+    """K, H and g(H, H) at a block of parameter points (N, d), via the
+    ambient connection and normal projection, in one pass of array calls."""
+    data = E.induced_block(us)
+    gam = E.ambient.christoffel_block(data.p, g=data.g)
+    hess = E.second_frame_block(data.u)
     # grad[mu, a, b] = d_a e_b^mu + Gamma^mu_{rho sigma} e_a^rho e_b^sigma
-    grad = hess + np.einsum("mrs,ra,sb->mab", gam, data.frame, data.frame)
+    gam_e = gam @ data.frame[:, None]                   # [k, mu, rho, b]
+    grad = hess + np.swapaxes(data.frame, 1, 2)[:, None] @ gam_e
     # project the a <= b entries in one block and mirror them
     a, b = np.triu_indices(E.dim)
-    _, normal = E.decompose(u, grad[:, a, b], data=data)
+    _, normal = E.decompose(data.u, grad[:, :, a, b], data=data)
     shape = np.empty_like(grad)
-    shape[:, a, b] = shape[:, b, a] = -normal
-    h_vec = np.einsum("ab,mab->m", data.gamma_inv, shape)
-    h2 = float(h_vec @ data.g @ h_vec)
+    shape[:, :, a, b] = shape[:, :, b, a] = -normal
+    h_vec = np.einsum("kab,kmab->km", data.gamma_inv, shape)
+    h2 = np.einsum("km,kmn,kn->k", h_vec, data.g, h_vec)
     return ExtrinsicData(base=data, shape=shape, mean_curvature=h_vec, h_norm2=h2)
+
+
+def extrinsic_data(E: Embedding, u) -> ExtrinsicData:
+    """Compute K and H at u via the ambient connection and normal projection."""
+    return extrinsic_block(E, as_point(u)[None]).node(0)
 
 
 def _check_normal(E, data, n, tol):
@@ -87,12 +96,14 @@ def expansion(E: Embedding, u, n, tol=NORMAL_TOL):
 
 
 def normal_space_basis(E: Embedding, u, data=None):
-    """Orthocomplement basis: columns span the normal space at Phi(u)."""
+    """Orthocomplement basis: columns span the normal space at Phi(u).
+
+    With block `data` the result is a block of bases (N, D, D - d)."""
     if data is None:
         data = E.induced(u)
-    a_mat = data.frame.T @ data.g  # (d, D); kernel = normal space
+    a_mat = np.swapaxes(data.frame, -1, -2) @ data.g  # (d, D); kernel = normal space
     _, _, vt = np.linalg.svd(a_mat)
-    return vt[E.dim:].T
+    return np.swapaxes(vt[..., E.dim:, :], -1, -2)
 
 
 def null_normal_pair(E: Embedding, u, outward):
@@ -139,40 +150,50 @@ class PointLabel:
     theta: float = None  # only in codimension 1
 
 
+def _classify_block(E: Embedding, us, tol):
+    """Point labels at a block of parameter points, and for a hypersurface
+    whether each node's normal is timelike (None otherwise)."""
+    ext = extrinsic_block(E, us)
+    data = ext.base
+    raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
+                lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
+    g, h_vec = data.g, ext.mean_curvature
+    t_vec = E.ambient.future_block(data.p)
+    causal, time = causal_label(h_vec, g, data.absg, t_vec, tol=tol)
+    scale = np.einsum("km,kmn,kn->k", h_vec, data.absg, h_vec)
+    ref_norm = np.sqrt(np.maximum(scale, 0.0))
+    positive = scale > 0.0
+    margin = np.where(positive,
+                      np.abs(ext.h_norm2) / np.where(positive, scale, 1.0) - tol, 0.0)
+    theta = [None] * len(h_vec)
+    timelike_normal = None
+    if E.codim == 1:
+        n = normal_space_basis(E, data.u, data=data)[:, :, 0]
+        n2 = np.einsum("km,kmn,kn->k", n, g, n)
+        timelike_normal = n2 < 0.0
+        n = n / np.sqrt(np.abs(n2))[:, None]
+        n2 = np.einsum("km,kmn,kn->k", n, g, n)
+        # orient timelike normals to the future
+        flip = (n2 < 0.0) & (np.einsum("km,kmn,kn->k", n, g, t_vec) > 0.0)
+        n = np.where(flip[:, None], -n, n)
+        theta = np.einsum("km,kmn,kn->k", h_vec, g, n) / n2
+    labels = [
+        PointLabel(u=u, causal=c, time=t, h_norm2=float(h2), ref_norm=float(r),
+                   margin=float(m), theta=None if th is None else float(th))
+        for u, c, t, h2, r, m, th in zip(data.u, causal, time, ext.h_norm2,
+                                         ref_norm, margin, theta)
+    ]
+    return labels, timelike_normal
+
+
 def classify_point(E: Embedding, u, tol=NULL_BAND_TOL) -> PointLabel:
     """Causal character of the mean curvature vector at one point.
 
     Requires the submanifold to be spacelike at u (gamma positive
     definite) and a Lorentzian ambient with a time orientation.
     """
-    ext = extrinsic_data(E, u)
-    data = ext.base
-    if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
-        raise NotSpacelike(f"{E.name!r} not spacelike at u={u}")
-    g, h_vec = data.g, ext.mean_curvature
-    t_vec = E.ambient.future_vector(data.p)
-    causal, time = causal_label(h_vec, g, data.absg, t_vec, tol=tol)
-    scale = float(h_vec @ data.absg @ h_vec)
-    ref_norm = np.sqrt(max(scale, 0.0))
-    margin = abs(ext.h_norm2) / scale - tol if scale > 0.0 else 0.0
-    theta = None
-    if E.codim == 1:
-        n = normal_space_basis(E, u, data=data)[:, 0]
-        n2 = float(n @ g @ n)
-        n = n / np.sqrt(abs(n2))
-        n2 = float(n @ g @ n)
-        if n2 < 0.0 and float(n @ g @ t_vec) > 0.0:
-            n = -n  # orient timelike normals to the future
-        theta = float(h_vec @ g @ n) / n2
-    return PointLabel(
-        u=data.u,
-        causal=causal,
-        time=time,
-        h_norm2=ext.h_norm2,
-        ref_norm=ref_norm,
-        margin=margin,
-        theta=theta,
-    )
+    labels, _ = _classify_block(E, as_point(u)[None], tol)
+    return labels[0]
 
 
 @dataclass(frozen=True)
@@ -277,7 +298,14 @@ def classify_submanifold(E: Embedding, grid: GridSpec, tol=NULL_BAND_TOL):
     caller can judge whether the grid resolves the transition.
     """
     points, _ = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    labels = tuple(classify_point(E, u, tol=tol) for u in points)
+    labels = []
+    timelike_normal = None
+    for block in quadrature.node_blocks(points):
+        block_labels, block_normals = _classify_block(E, block, tol)
+        if not labels and block_normals is not None:
+            timelike_normal = bool(block_normals[0])
+        labels += block_labels
+    labels = tuple(labels)
     categories = [_point_category(lab, tol) for lab in labels]
     verdict, boundary = _aggregate(categories)
     notes = []
@@ -286,12 +314,9 @@ def classify_submanifold(E: Embedding, grid: GridSpec, tol=NULL_BAND_TOL):
             "verdict Mixed due to points whose H sits between the zero and "
             "null-nonzero thresholds; refine the grid or adjust tolerances"
         )
-    if E.codim == 1:
-        data = E.induced(points[0])
-        n = normal_space_basis(E, points[0], data=data)[:, 0]
-        if float(n @ data.g @ n) < 0.0:
-            notes.append("hypersurface with timelike normal: H = theta * n; "
-                         "theta == 0 everywhere means a maximal hypersurface")
+    if timelike_normal:
+        notes.append("hypersurface with timelike normal: H = theta * n; "
+                     "theta == 0 everywhere means a maximal hypersurface")
     return ClassificationReport(
         labels=labels,
         verdict=verdict,

@@ -31,31 +31,38 @@ class TimeOrientation(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-def _absolute(g):
+def absolute_metric(g):
+    """|g| of a matrix or of a block of matrices: same eigenvectors,
+    absolute eigenvalues."""
     w, v = np.linalg.eigh(g)
-    return (v * np.abs(w)) @ v.T
+    return (v * np.abs(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+# label codes: index into these arrays
+_CAUSAL_CODES = np.array([Causal.ZERO, Causal.NULL, Causal.TIMELIKE,
+                          Causal.SPACELIKE], dtype=object)
+_TIME_CODES = np.array([TimeOrientation.NOT_APPLICABLE, TimeOrientation.FUTURE,
+                        TimeOrientation.PAST], dtype=object)
 
 
 def causal_label(v, g, absg, t_vec, tol=NULL_BAND_TOL):
-    """Classify a vector as (Causal, TimeOrientation), given the metric g,
-    its reference norm |g| and the future vector T at the vector's base point.
+    """Classify a block of vectors v (N, D) as per-node lists of Causal and
+    TimeOrientation, given the metric g, its reference norm |g| and the
+    future vector T at each vector's base point (N, D, D), (N, D, D), (N, D).
 
     The null band is |g(v,v)| <= tol * |g|(v,v); the zero label applies
     when all components are below tol in magnitude.
     """
     v = np.asarray(v, dtype=float)
-    if np.max(np.abs(v), initial=0.0) < tol:
-        return Causal.ZERO, TimeOrientation.NOT_APPLICABLE
-    q = float(v @ g @ v)
-    scale = float(v @ absg @ v)
-    if abs(q) <= tol * scale:
-        label = Causal.NULL
-    elif q < 0.0:
-        label = Causal.TIMELIKE
-    else:
-        return Causal.SPACELIKE, TimeOrientation.NOT_APPLICABLE
-    future = float(v @ g @ t_vec) < 0.0
-    return label, TimeOrientation.FUTURE if future else TimeOrientation.PAST
+    zero = np.max(np.abs(v), axis=-1, initial=0.0) < tol
+    q = np.einsum("km,kmn,kn->k", v, g, v)
+    scale = np.einsum("km,kmn,kn->k", v, absg, v)
+    null = np.abs(q) <= tol * scale
+    codes = np.where(zero, 0, np.where(null, 1, np.where(q < 0.0, 2, 3)))
+    future = np.einsum("km,kmn,kn->k", v, g, t_vec) < 0.0
+    oriented = (codes == 1) | (codes == 2)
+    time = np.where(oriented, np.where(future, 1, 2), 0)
+    return list(_CAUSAL_CODES[codes]), list(_TIME_CODES[time])
 
 
 def as_point(p):
@@ -65,27 +72,56 @@ def as_point(p):
     return p
 
 
+def raise_first(bad, error, describe):
+    """Raise error(describe(i)) for the first node i flagged in `bad`."""
+    if bad.any():
+        raise error(describe(int(np.argmax(bad))))
+
+
+def as_points(x):
+    """A block of coordinate points (N, n), every one finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"a block of points must be a 2-d array, got shape {x.shape}")
+    raise_first(~np.isfinite(x).all(axis=1), ValueError, lambda i: (
+        f"coordinate point must be a finite 1-d array, got {x[i]!r}"))
+    return x
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Ambient vector field: value(p) -> contravariant components xi^mu.
 
     `jacobian(p)` returns J[mu, nu] = d_nu xi^mu; when absent it is
-    replaced by 4th-order finite differences of `value`.
+    replaced by 4th-order finite differences of `value`.  Callables not
+    marked blockwise are lifted to blocks (one call per node).
     """
 
     value: object
     jacobian: object = None
     name: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", expressions.lift(self.value))
+        object.__setattr__(self, "jacobian", expressions.lift(self.jacobian))
+
     def at(self, p):
         return np.asarray(self.value(as_point(p)), dtype=float)
 
-    def jacobian_at(self, p):
-        p = as_point(p)
+    def value_block(self, points):
+        """xi^mu at a block of points (N, D) -> (N, D)."""
+        return np.asarray(self.value(as_points(points)), dtype=float)
+
+    def jacobian_block(self, points):
+        """J[k, mu, nu] = d_nu xi^mu at each point of a block (N, D)."""
+        points = as_points(points)
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(p), dtype=float)
-        # gradient() gives [nu, mu] = d_nu xi^mu
-        return findiff.gradient(lambda x: self.value(x), p).T
+            return np.asarray(self.jacobian(points), dtype=float)
+        # gradient() gives [k, nu, mu] = d_nu xi^mu
+        return np.swapaxes(findiff.gradient(self.value, points), -1, -2)
+
+    def jacobian_at(self, p):
+        return self.jacobian_block(as_point(p)[None])[0]
 
     def without_analytic_derivatives(self):
         return replace(self, jacobian=None)
@@ -99,6 +135,9 @@ class MetricField:
     `derivatives(p)`, when supplied, returns dg[rho, mu, nu] = d_rho g_{mu nu}.
     `time_orientation` is a VectorField-like callable p -> T^mu declared
     future-pointing (Lorentzian case).  `chart_domain(p)` is a predicate.
+    Callables not marked blockwise are lifted to blocks (one call per
+    node).  The `*_block` methods evaluate a block of points (N, D) in one
+    call; the per-point methods are their N = 1 case.
     """
 
     dim: int
@@ -120,6 +159,8 @@ class MetricField:
             object.__setattr__(
                 self, "coordinates", tuple(f"x{i}" for i in range(self.dim))
             )
+        for name in ("components", "derivatives", "time_orientation", "chart_domain"):
+            object.__setattr__(self, name, expressions.lift(getattr(self, name)))
 
     @property
     def is_lorentzian(self):
@@ -131,74 +172,107 @@ class MetricField:
             return False
         return bool(self.chart_domain(p)) if self.chart_domain is not None else True
 
-    def _check_chart(self, p):
-        p = as_point(p)
-        if not self.contains(p):
-            raise PointOutsideChart(f"{p} outside chart of metric {self.name!r}")
-        return p
+    def _check_chart(self, points):
+        points = as_points(points)
+        if points.shape[1] != self.dim:
+            inside = np.zeros(len(points), dtype=bool)
+        elif self.chart_domain is not None:
+            inside = np.asarray(self.chart_domain(points), dtype=bool)
+        else:
+            return points
+        raise_first(~inside, PointOutsideChart, lambda i: (
+            f"{points[i]} outside chart of metric {self.name!r}"))
+        return points
+
+    def metric_block(self, points):
+        """g_{mu nu} at a block of points (N, D) -> (N, D, D)."""
+        points = self._check_chart(points)
+        g = np.asarray(self.components(points), dtype=float)
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))  # exact symmetry by construction
+        scale = np.prod(np.maximum(np.abs(g).max(axis=-1), np.finfo(float).tiny),
+                        axis=-1)
+        raise_first(np.abs(np.linalg.det(g)) < self.degeneracy_tol * scale,
+                    DegenerateMetric, lambda i: (
+                        f"metric {self.name!r} degenerate at {points[i]} "
+                        "(|det| below tolerance)"))
+        return g
 
     def at(self, p):
-        p = self._check_chart(p)
-        g = np.asarray(self.components(p), dtype=float)
-        g = 0.5 * (g + g.T)  # exact symmetry by construction
-        scale = np.prod(np.maximum(np.abs(g).max(axis=1), np.finfo(float).tiny))
-        if abs(np.linalg.det(g)) < self.degeneracy_tol * scale:
-            raise DegenerateMetric(
-                f"metric {self.name!r} degenerate at {p} (|det| below tolerance)"
-            )
-        return g
+        return self.metric_block(as_point(p)[None])[0]
 
     def inverse_at(self, p):
         return np.linalg.inv(self.at(p))
 
+    def partials_block(self, points):
+        """dg[k, rho, mu, nu] = d_rho g_{mu nu} at each point of a block,
+        analytic or finite-difference."""
+        points = self._check_chart(points)
+        if self.derivatives is not None:
+            return np.asarray(self.derivatives(points), dtype=float)
+        return findiff.gradient(self.metric_block, points)
+
     def partials_at(self, p):
         """dg[rho, mu, nu] = d_rho g_{mu nu}, analytic or finite-difference."""
-        p = self._check_chart(p)
-        if self.derivatives is not None:
-            return np.asarray(self.derivatives(p), dtype=float)
-        return findiff.gradient(lambda x: self.at(x), p)
+        return self.partials_block(as_point(p)[None])[0]
+
+    def christoffel_block(self, points, g=None):
+        """Gamma^mu_{rho sigma} at each point of a block; `g` is the metric
+        there when the caller already has it."""
+        g_inv = np.linalg.inv(self.metric_block(points) if g is None else g)
+        dg = self.partials_block(points)
+        # 1/2 g^{mu nu} (d_rho g_{nu sigma} + d_sigma g_{nu rho} - d_nu g_{rho sigma})
+        bracket = (
+            np.einsum("krns->knrs", dg)
+            + np.einsum("ksnr->knrs", dg)
+            - dg
+        )
+        return 0.5 * np.einsum("kmn,knrs->kmrs", g_inv, bracket)
 
     def christoffel_at(self, p):
         """Gamma^mu_{rho sigma} of the Levi-Civita connection."""
-        g_inv = self.inverse_at(p)
-        dg = self.partials_at(p)
-        # 1/2 g^{mu nu} (d_rho g_{nu sigma} + d_sigma g_{nu rho} - d_nu g_{rho sigma})
-        bracket = (
-            np.einsum("rns->nrs", dg)
-            + np.einsum("snr->nrs", dg)
-            - np.einsum("nrs->nrs", dg)
-        )
-        return 0.5 * np.einsum("mn,nrs->mrs", g_inv, bracket)
+        return self.christoffel_block(as_point(p)[None])[0]
 
     def reference_norm_matrix(self, p):
         """Positive-definite |g|: same eigenvectors, absolute eigenvalues."""
-        return _absolute(self.at(p))
+        return absolute_metric(self.at(p))
 
-    def future_vector(self, p):
-        """The declared future-pointing vector T^mu at p."""
+    def future_block(self, points):
+        """The declared future-pointing vector T^mu at each point of a block."""
         if not self.is_lorentzian:
             raise ValueError("causal classification requires a Lorentzian metric")
         if self.time_orientation is None:
             raise ValueError("causal classification requires a time orientation")
-        return np.asarray(self.time_orientation(p), dtype=float)
+        return np.asarray(self.time_orientation(as_points(points)), dtype=float)
+
+    def future_vector(self, p):
+        """The declared future-pointing vector T^mu at p."""
+        return self.future_block(as_point(p)[None])[0]
 
     def causal_character(self, v, p, tol=NULL_BAND_TOL):
         """Classify a vector at p as (Causal, TimeOrientation); see causal_label."""
         p = as_point(p)
         t_vec = self.future_vector(p)
         g = self.at(p)
-        return causal_label(v, g, _absolute(g), t_vec, tol=tol)
+        causal, time = causal_label(np.asarray(v, dtype=float)[None], g[None],
+                                    absolute_metric(g)[None], t_vec[None], tol=tol)
+        return causal[0], time[0]
+
+    def lie_derivative_block(self, xi: VectorField, points, g=None):
+        """(Lie_xi g)_{mu nu} at each point of a block; `g` as in
+        christoffel_block."""
+        points = self._check_chart(points)
+        if g is None:
+            g = self.metric_block(points)
+        dg = self.partials_block(points)
+        xi_val = xi.value_block(points)
+        jac = xi.jacobian_block(points)  # J[k, rho, mu] = d_mu xi^rho
+        term0 = np.einsum("kr,krmn->kmn", xi_val, dg)
+        term1 = np.einsum("krn,krm->kmn", g, jac)
+        return term0 + term1 + np.swapaxes(term1, -1, -2)
 
     def lie_derivative(self, xi: VectorField, p):
         """(Lie_xi g)_{mu nu} at p."""
-        p = self._check_chart(p)
-        g = self.at(p)
-        dg = self.partials_at(p)
-        xi_val = xi.at(p)
-        jac = xi.jacobian_at(p)  # J[rho, mu] = d_mu xi^rho
-        term0 = np.einsum("r,rmn->mn", xi_val, dg)
-        term1 = np.einsum("rn,rm->mn", g, jac)
-        return term0 + term1 + term1.T
+        return self.lie_derivative_block(xi, as_point(p)[None])[0]
 
     def without_analytic_derivatives(self):
         return replace(self, derivatives=None)
@@ -241,16 +315,12 @@ def metric_from_expressions(
 
     domain_fn = None
     if chart_bounds is not None:
-        bounds = [
-            (
-                -np.inf if lo is None else float(lo),
-                np.inf if hi is None else float(hi),
-            )
-            for lo, hi in chart_bounds
-        ]
+        lo = np.array([-np.inf if b is None else float(b) for b, _ in chart_bounds])
+        hi = np.array([np.inf if b is None else float(b) for _, b in chart_bounds])
 
-        def domain_fn(p, _bounds=tuple(bounds)):
-            return all(lo < x < hi for x, (lo, hi) in zip(p, _bounds))
+        @expressions.blockwise
+        def domain_fn(p):
+            return np.all((lo < p) & (p < hi), axis=-1)
 
     return MetricField(
         dim=dim,

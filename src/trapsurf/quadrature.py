@@ -7,11 +7,25 @@ smooth periodic integrands.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
 RULES = ("auto", "gauss", "trapezoid")
+# Most points evaluated in one array call of the grid kernel: it bounds the
+# kernel's temporaries, so peak memory does not grow with the grid.
+BLOCK_NODES = 256
+
+
+def _count(n):
+    """A node count given as an integer value (an integer string included)."""
+    try:
+        value = int(n) if isinstance(n, str) else n
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"points per axis must be integers, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -22,7 +36,7 @@ class GridSpec:
     rule: str = "auto"
 
     def __post_init__(self):
-        pts = tuple(int(n) for n in self.points_per_axis)
+        pts = tuple(_count(n) for n in self.points_per_axis)
         object.__setattr__(self, "points_per_axis", pts)
         if any(n < 2 for n in pts):
             raise ValueError("need at least 2 points per axis")
@@ -65,17 +79,24 @@ def grid_rules(domain, periodic, spec: GridSpec):
 
 
 def grid_nodes(domain, periodic, spec: GridSpec):
-    """All tensor-product nodes (N, d) and combined weights (N,)."""
+    """All tensor-product nodes (N, d), first axis slowest, and combined
+    weights (N,)."""
     rules = grid_rules(domain, periodic, spec)
-    points = np.array([list(combo) for combo in product(*[x for x, _ in rules])])
-    weights = np.array(
-        [np.prod(combo) for combo in product(*[w for _, w in rules])]
-    )
+    axes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    points = np.stack(axes, axis=-1).reshape(-1, len(rules))
+    # products taken left to right, as np.prod over each node's weights
+    weights = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
     return points, weights
 
 
+def node_blocks(points):
+    """Consecutive blocks of at most BLOCK_NODES rows of `points`."""
+    return [points[i:i + BLOCK_NODES] for i in range(0, len(points), BLOCK_NODES)]
+
+
 def integrate(fn, domain, periodic, spec: GridSpec):
-    """Quadrature of a scalar fn(u) over the box; pairwise-summed."""
+    """Quadrature over the box of fn, which maps a block of nodes (N, d)
+    to values (N,); pairwise-summed."""
     points, weights = grid_nodes(domain, periodic, spec)
-    values = np.array([fn(u) for u in points])
+    values = np.concatenate([fn(block) for block in node_blocks(points)])
     return float(np.sum(weights * values))

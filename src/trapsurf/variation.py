@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import findiff, quadrature
+from . import expressions, findiff, quadrature
 from .embedding import Embedding
 from .errors import FlowLeftChart, NotClosed, NotConformal
-from .extrinsic import extrinsic_data
+from .extrinsic import extrinsic_block, extrinsic_data
 from .geometry import MetricField, VectorField, as_point
 from .quadrature import GridSpec
 
@@ -44,6 +44,21 @@ def first_variation_density(E: Embedding, xi: VectorField, u):
     return 0.5 * float(np.einsum("ab,ab->", data.gamma_inv, pulled))
 
 
+def _surface_divergence_block(E: Embedding, xi: VectorField, us, vol_density):
+    """surface_divergence at a block of parameter points, whose volume
+    densities are `vol_density`: the stencil of every node is evaluated as
+    blocks of shifted parameter points."""
+
+    def density_flux(x):
+        data = E.induced_block(x)
+        xi_val = xi.value_block(data.p)[:, :, None]
+        w = np.swapaxes(data.frame, 1, 2) @ data.g @ xi_val   # w_b = g(e_b, xi)
+        return data.vol_density[:, None] * (data.gamma_inv @ w)[:, :, 0]
+
+    flux_gradient = findiff.gradient(density_flux, us)
+    return np.trace(flux_gradient, axis1=1, axis2=2) / vol_density
+
+
 def surface_divergence(E: Embedding, xi: VectorField, u):
     """div of the tangential pullback, via (1/sqrt g) d_a (sqrt g bar-xi^a).
 
@@ -51,16 +66,8 @@ def surface_divergence(E: Embedding, xi: VectorField, u):
     second derivatives of the induced metric.
     """
     u = as_point(u)
-
-    def density_flux(x):
-        data = E.induced(x)
-        w = data.frame.T @ data.g @ xi.at(data.p)
-        return data.vol_density * (data.gamma_inv @ w)
-
-    total = 0.0
-    for a in range(E.dim):
-        total += findiff.partial(density_flux, u, a)[a]
-    return total / E.induced(u).vol_density
+    return float(_surface_divergence_block(E, xi, u[None],
+                                           E.induced(u).vol_density)[0])
 
 
 def rhs_identity(E: Embedding, xi: VectorField, u):
@@ -69,6 +76,13 @@ def rhs_identity(E: Embedding, xi: VectorField, u):
     return surface_divergence(E, xi, u) + float(
         xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature
     )
+
+
+def _flux(xi: VectorField, ext):
+    """g(xi, H) at each node of an extrinsic block."""
+    base = ext.base
+    return np.einsum("km,kmn,kn->k", xi.value_block(base.p), base.g,
+                     ext.mean_curvature)
 
 
 @dataclass(frozen=True)
@@ -95,15 +109,15 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
             "accept an unverified boundary term"
         )
     points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    div_vals = np.empty(len(points))
-    exp_vals = np.empty(len(points))
-    for i, u in enumerate(points):
-        ext = extrinsic_data(E, u)
-        div_vals[i] = surface_divergence(E, xi, u) * ext.base.vol_density
-        exp_vals[i] = (
-            float(xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature)
-            * ext.base.vol_density
-        )
+    div_vals, exp_vals = [], []
+    for block in quadrature.node_blocks(points):
+        ext = extrinsic_block(E, block)
+        base = ext.base
+        div = _surface_divergence_block(E, xi, block, base.vol_density)
+        div_vals.append(div * base.vol_density)
+        exp_vals.append(_flux(xi, ext) * base.vol_density)
+    div_vals = np.concatenate(div_vals)
+    exp_vals = np.concatenate(exp_vals)
     div_term = float(np.sum(weights * div_vals))
     exp_term = float(np.sum(weights * exp_vals))
     return VariationResult(
@@ -178,9 +192,12 @@ def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
 class ConformalData:
     """Conformal factor samples and the residual of Lie_xi g = 2 Psi g."""
 
-    psi: object            # callable p -> Psi(p)
+    psi: object            # callable p -> Psi(p); lifted to blocks of points
     residual: float
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", expressions.lift(self.psi))
 
     @property
     def accepted(self):
@@ -192,15 +209,20 @@ def conformal_check(metric: MetricField, xi: VectorField, sample_points,
     """Extract Psi = tr(Lie_xi g) / (2 D) and measure the conformal residual."""
     dim = metric.dim
 
-    def psi(p):
-        lie = metric.lie_derivative(xi, p)
-        return float(np.einsum("mn,mn->", metric.inverse_at(p), lie)) / (2.0 * dim)
+    def psi_and_lie(points):
+        g = metric.metric_block(points)
+        lie = metric.lie_derivative_block(xi, points, g=g)
+        return np.einsum("kmn,kmn->k", np.linalg.inv(g), lie) / (2.0 * dim), lie, g
 
-    residual = 0.0
-    for p in sample_points:
-        lie = metric.lie_derivative(xi, p)
-        dev = lie - 2.0 * psi(p) * metric.at(p)
-        residual = max(residual, float(np.abs(dev).max()))
+    @expressions.blockwise
+    def psi(p):
+        p = np.asarray(p, dtype=float)
+        values = psi_and_lie(np.atleast_2d(p))[0]
+        return values if p.ndim == 2 else float(values[0])
+
+    values, lie, g = psi_and_lie(np.asarray(sample_points, dtype=float))
+    dev = lie - (2.0 * values)[:, None, None] * g
+    residual = float(np.abs(dev).max(initial=0.0))
     return ConformalData(psi=psi, residual=residual, tolerance=tol)
 
 
@@ -228,21 +250,20 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
         raise NotClosed("the integral identity requires a closed submanifold")
     points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
     if conformal is None:
-        sample = [E.point(u) for u in points[:: max(1, len(points) // 16)]]
+        sample = E.point_block(points[:: max(1, len(points) // 16)])
         conformal = conformal_check(E.ambient, xi, sample, tol=tol)
     if not conformal.accepted:
         raise NotConformal(
             f"field {xi.name!r} fails the conformal residual test: "
             f"{conformal.residual:.3e} >= {conformal.tolerance:.3e}"
         )
-    psi_vals = np.empty(len(points))
-    flux_vals = np.empty(len(points))
-    dens = np.empty(len(points))
-    for i, u in enumerate(points):
-        ext = extrinsic_data(E, u)
-        psi_vals[i] = conformal.psi(ext.base.p)
-        flux_vals[i] = float(xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature)
-        dens[i] = ext.base.vol_density
+    psi_vals, flux_vals, dens = [], [], []
+    for block in quadrature.node_blocks(points):
+        ext = extrinsic_block(E, block)
+        psi_vals.append(np.asarray(conformal.psi(ext.base.p), dtype=float))
+        flux_vals.append(_flux(xi, ext))
+        dens.append(ext.base.vol_density)
+    psi_vals, flux_vals, dens = map(np.concatenate, (psi_vals, flux_vals, dens))
     lhs = float(np.sum(weights * psi_vals * dens))
     flux = float(np.sum(weights * flux_vals * dens))
     rhs = flux / E.dim
@@ -291,10 +312,11 @@ class ParallelFitResult:
     lambdas: np.ndarray
     max_residual: float
     spacelike_somewhere: bool
+    tol: float = 1e-6
 
     @property
     def parallel(self):
-        return self.max_residual < 1e-6
+        return self.max_residual < self.tol
 
 
 def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
@@ -303,24 +325,28 @@ def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
 
     Either H is spacelike somewhere on S, or H must be everywhere
     proportional to the null Killing field; lambda is fitted per point by
-    least squares over ambient components.
+    least squares over ambient components.  `tol` bounds both the
+    spacelike test and the fit residual.
     """
     points, _ = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    lambdas = np.empty(len(points))
-    max_res = 0.0
+    lambdas, residuals = [], []
     spacelike = False
-    for i, u in enumerate(points):
-        ext = extrinsic_data(E, u)
-        xi_val = xi.at(ext.base.p)
+    for block in quadrature.node_blocks(points):
+        ext = extrinsic_block(E, block)
+        xi_val = xi.value_block(ext.base.p)
         h_vec = ext.mean_curvature
-        scale = np.sqrt(max(float(h_vec @ ext.base.absg @ h_vec), 0.0))
-        if ext.h_norm2 > tol * max(scale * scale, 1.0):
-            spacelike = True
-        denom = float(xi_val @ xi_val)
-        lam = float(xi_val @ h_vec) / denom if denom > 0.0 else 0.0
-        lambdas[i] = lam
-        res = np.linalg.norm(h_vec - lam * xi_val) / (1.0 + abs(lam))
-        max_res = max(max_res, res)
+        scale2 = np.maximum(np.einsum("km,kmn,kn->k", h_vec, ext.base.absg, h_vec), 0.0)
+        spacelike = spacelike or bool(np.any(ext.h_norm2 > tol * np.maximum(scale2, 1.0)))
+        denom = np.einsum("km,km->k", xi_val, xi_val)
+        fitted = denom > 0.0
+        lam = np.where(fitted, np.einsum("km,km->k", xi_val, h_vec)
+                       / np.where(fitted, denom, 1.0), 0.0)
+        lambdas.append(lam)
+        residuals.append(np.linalg.norm(h_vec - lam[:, None] * xi_val, axis=1)
+                         / (1.0 + np.abs(lam)))
     return ParallelFitResult(
-        lambdas=lambdas, max_residual=max_res, spacelike_somewhere=spacelike
+        lambdas=np.concatenate(lambdas),
+        max_residual=float(np.concatenate(residuals).max(initial=0.0)),
+        spacelike_somewhere=spacelike,
+        tol=tol,
     )

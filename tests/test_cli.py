@@ -125,6 +125,45 @@ def test_classify_rejects_unused_options(capsys):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_classify_metric_must_be_the_embeddings_own(capsys):
+    # r = 3 lies inside the horizon of M = 2, but ef_sphere carries M = 1
+    code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
+                       "--metric", "schwarzschild_ef:mass=2", "--grid", "4,4")
+    assert code == 64
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert "schwarzschild_ef[M=2]" in report["error"]["message"]
+    code, _, err = run(capsys, "classify", "--embedding", "round_sphere",
+                       "--metric", "minkowski:dimension=3", "--grid", "4,4")
+    assert code == 64
+    code, out, _ = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
+                       "--metric", "schwarzschild_ef:mass=1", "--grid", "4,4")
+    assert code == 0
+    assert "verdict:   AbsolutelyNonTrapped" in out
+
+
+def test_config_grid_with_wrong_axis_count_is_config_error(tmp_path, capsys):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "t_const_hypersurface_rw"},
+        "grid": {"points_per_axis": [2, 2]},
+    }))
+    code, _, err = run(capsys, "classify", "--config", str(path))
+    assert code == 64
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert "2 axes" in report["error"]["message"]
+    # without a grid the 16-per-axis default applies to every axis
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "t_const_hypersurface_rw"},
+    }))
+    code, out, _ = run(capsys, "classify", "--config", str(path))
+    assert code == 0
+    assert "grid:      16x16x16 (auto)" in out
+
+
 def test_catalog_commands(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -126,6 +126,18 @@ def test_grid_validation():
     bad["grid"] = {"points_per_axis": [8, 8], "rule": "simpson"}
     with pytest.raises(ConfigError, match="grid"):
         RunConfig.from_dict(bad)
+    for points in ([4.9, "6"], ["8", "4.5"], [8, None]):
+        bad["grid"] = {"points_per_axis": points}
+        with pytest.raises(ConfigError, match="integers"):
+            RunConfig.from_dict(bad)
+    bad["grid"] = {"rule": "gauss"}
+    with pytest.raises(ConfigError, match="points_per_axis"):
+        RunConfig.from_dict(bad)
+    good = json.loads(json.dumps(FULL_CONFIG))
+    good["grid"] = {"points_per_axis": ["8", 16.0]}
+    assert RunConfig.from_dict(good).grid == GridSpec((8, 16))
+    del good["grid"]
+    assert RunConfig.from_dict(good).grid is None
 
 
 def test_catalog_kind_is_checked():

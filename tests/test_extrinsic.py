@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trapsurf.embedding import Embedding
 from trapsurf.errors import NotNormal, NotSpacelike
+from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (
     classify_point,
     classify_submanifold,
@@ -191,22 +193,28 @@ def test_classify_point_examples():
 
 
 def test_node_geometry_is_evaluated_once(monkeypatch):
-    counts = {"at": 0, "reference_norm_matrix": 0, "decompose": 0}
-    for cls, name in ((MetricField, "at"), (MetricField, "reference_norm_matrix"),
-                      (Embedding, "decompose")):
-        def counted(self, *args, _original=getattr(cls, name), _name=name,
-                    **kwargs):
-            counts[_name] += 1
+    emb = cat("ef_sphere")
+    components = emb.ambient.components
+    blocks = []
+
+    @blockwise
+    def counted_components(points):
+        blocks.append(np.shape(points))
+        return components(points)
+
+    counted = replace(emb, ambient=replace(emb.ambient, components=counted_components))
+    calls = {"at": 0, "decompose": 0}
+    for cls, name in ((MetricField, "at"), (Embedding, "decompose")):
+        def wrapped(self, *args, _original=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
-    report = classify_submanifold(cat("ef_sphere"), GridSpec((4, 8)))
-    nodes = len(report.labels)
-    assert nodes == 32
-    # g once for the bundle, once inside |g|, once for the Christoffels
-    assert counts["at"] <= 3 * nodes
-    assert counts["reference_norm_matrix"] <= nodes
-    assert counts["decompose"] == nodes
+        monkeypatch.setattr(cls, name, wrapped)
+    report = classify_submanifold(counted, GridSpec((4, 8)))
+    assert len(report.labels) == 32
+    # one batched evaluation of g serves the frame, |g|, Christoffels and labels
+    assert blocks == [(32, 4)]
+    assert calls == {"at": 0, "decompose": 1}
 
 
 def test_classification_verdicts():

@@ -233,6 +233,21 @@ def test_null_killing_constraint():
     assert fit.spacelike_somewhere
 
 
+def test_parallel_fit_uses_the_given_tolerance():
+    grid = GridSpec((12, 12))
+    # H is exactly along d/dv; a slightly tilted field fits it up to ~1e-9
+    tilted = vector_field_from_expressions(("u", "v", "x", "y"),
+                                           ["0", "1", "1e-8", "0"])
+    wavy = cat("ppwave_wavy_torus")
+    fit = null_killing_constraint_check(wavy, tilted, grid)
+    assert fit.parallel and 0.0 < fit.max_residual < 1e-6
+    tight = null_killing_constraint_check(wavy, tilted, grid,
+                                          tol=fit.max_residual / 2)
+    assert tight.max_residual == fit.max_residual
+    assert tight.spacelike_somewhere == fit.spacelike_somewhere
+    assert not tight.parallel
+
+
 def test_tangential_part_is_the_induced_connection(rng):
     # the tangential part of the ambient derivative of a frame field
     # reproduces the Christoffel symbols of the induced metric
