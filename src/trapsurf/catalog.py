@@ -1,9 +1,12 @@
 """Built-in metrics, embeddings, vector fields and checkable scenarios.
 
 Every entry is constructed through the expression grammar, so all catalog
-objects carry analytic derivatives.  `expected` values record reference
-results together with the independent oracle that produced them; the test
-suite regression-checks them.
+objects carry analytic derivatives.  Continuous parameters enter the
+expressions as named constants, so every parameter set of an entry shares
+one compiled expression template; only finite-choice parameters (the
+Robertson-Walker scale factor, the Minkowski dimension) select the text.
+`expected` values record reference results together with the independent
+oracle that produced them; the test suite regression-checks them.
 """
 
 import math
@@ -129,7 +132,7 @@ def _schwarzschild_ef(mass=1.0):
 
 def _ppwave(amplitude=0.5):
     # ds^2 = H du^2 - 2 du dv + dx^2 + dy^2 with quadratic (vacuum) profile.
-    h_expr = f"{amplitude!r} * (x**2 - y**2)"
+    h_expr = "A * (x**2 - y**2)"
     comps = [
         [h_expr, "-1", "0", "0"],
         ["-1", "0", "0", "0"],
@@ -140,6 +143,7 @@ def _ppwave(amplitude=0.5):
     return metric_from_expressions(
         ("u", "v", "x", "y"),
         comps,
+        constants={"A": amplitude},
         time_orientation=orientation,
         name=f"ppwave[{amplitude:g}]",
     )
@@ -149,30 +153,28 @@ def _ppwave(amplitude=0.5):
 # embedding builders
 
 def _round_sphere(radius=2.0, time=0.0):
-    r, t0 = radius, time
     return embedding_from_expressions(
         _minkowski(),
         ("u1", "u2"),
-        [f"{t0!r}", f"{r!r}*sin(u1)*cos(u2)", f"{r!r}*sin(u1)*sin(u2)",
-         f"{r!r}*cos(u1)"],
+        ["T0", "R*sin(u1)*cos(u2)", "R*sin(u1)*sin(u2)", "R*cos(u1)"],
         param_domain=[(0.0, math.pi), (0.0, TWO_PI)],
         periodic=(False, True),
         closed=True,
+        constants={"R": radius, "T0": time},
         name=f"round_sphere[r={radius:g}]",
     )
 
 
 def _round_sphere_alt(radius=2.0, time=0.0):
     # Same sphere, poles along the x-axis: reparametrization check case.
-    r, t0 = radius, time
     return embedding_from_expressions(
         _minkowski(),
         ("u1", "u2"),
-        [f"{t0!r}", f"{r!r}*cos(u1)", f"{r!r}*sin(u1)*cos(u2)",
-         f"{r!r}*sin(u1)*sin(u2)"],
+        ["T0", "R*cos(u1)", "R*sin(u1)*cos(u2)", "R*sin(u1)*sin(u2)"],
         param_domain=[(0.0, math.pi), (0.0, TWO_PI)],
         periodic=(False, True),
         closed=True,
+        constants={"R": radius, "T0": time},
         name=f"round_sphere_alt[r={radius:g}]",
     )
 
@@ -191,17 +193,14 @@ def _flat_torus(period=TWO_PI):
 
 
 def _ring_torus(major=3.0, minor=1.0):
-    a, b = major, minor
     return embedding_from_expressions(
         _minkowski(),
         ("u1", "u2"),
-        ["0",
-         f"({a!r} + {b!r}*cos(u1))*cos(u2)",
-         f"({a!r} + {b!r}*cos(u1))*sin(u2)",
-         f"{b!r}*sin(u1)"],
+        ["0", "(A + B*cos(u1))*cos(u2)", "(A + B*cos(u1))*sin(u2)", "B*sin(u1)"],
         param_domain=[(0.0, TWO_PI), (0.0, TWO_PI)],
         periodic=(True, True),
         closed=True,
+        constants={"A": major, "B": minor},
         name=f"ring_torus[{major:g},{minor:g}]",
     )
 
@@ -217,12 +216,12 @@ def _straight_line(length=1.0):
 
 
 def _accelerated_curve(accel=2.0, length=1.0):
-    a = accel
     return embedding_from_expressions(
         _minkowski(),
         ("u1",),
-        [f"sinh({a!r}*u1)/{a!r}", f"cosh({a!r}*u1)/{a!r}", "0", "0"],
+        ["sinh(A*u1)/A", "cosh(A*u1)/A", "0", "0"],
         param_domain=[(-0.5 * length, 0.5 * length)],
+        constants={"A": accel},
         name=f"accelerated_curve[a={accel:g}]",
     )
 
@@ -248,15 +247,14 @@ def _timelike_plane(extent=1.0):
 
 
 def _comoving_sphere_rw(radius=1.0, time=2.0, scale="t"):
-    r, t0 = radius, time
     return embedding_from_expressions(
         _robertson_walker(scale),
         ("u1", "u2"),
-        [f"{t0!r}", f"{r!r}*sin(u1)*cos(u2)", f"{r!r}*sin(u1)*sin(u2)",
-         f"{r!r}*cos(u1)"],
+        ["T0", "R*sin(u1)*cos(u2)", "R*sin(u1)*sin(u2)", "R*cos(u1)"],
         param_domain=[(0.0, math.pi), (0.0, TWO_PI)],
         periodic=(False, True),
         closed=True,
+        constants={"R": radius, "T0": time},
         name=f"comoving_sphere_rw[r={radius:g},t={time:g},{scale}]",
     )
 
@@ -274,14 +272,14 @@ def _comoving_worldline_rw(scale="t", t_start=1.0, t_end=3.0):
 def _t_const_hypersurface_rw(time=2.0, period=TWO_PI, scale="t"):
     # t = const slice compactified to a flat 3-torus: a closed spacelike
     # hypersurface of Robertson-Walker.
-    p, t0 = period, time
     return embedding_from_expressions(
         _robertson_walker(scale),
         ("u1", "u2", "u3"),
-        [f"{t0!r}", "u1", "u2", "u3"],
-        param_domain=[(0.0, p)] * 3,
+        ["T0", "u1", "u2", "u3"],
+        param_domain=[(0.0, period)] * 3,
         periodic=(True, True, True),
         closed=True,
+        constants={"T0": time},
         name=f"t_const_hypersurface_rw[t={time:g},{scale}]",
     )
 
@@ -290,10 +288,11 @@ def _ef_sphere(radius=1.0, mass=1.0, vtime=0.0):
     return embedding_from_expressions(
         _schwarzschild_ef(mass),
         ("u1", "u2"),
-        [f"{vtime!r}", f"{radius!r}", "u1", "u2"],
+        ["V0", "R", "u1", "u2"],
         param_domain=[(0.0, math.pi), (0.0, TWO_PI)],
         periodic=(False, True),
         closed=True,
+        constants={"R": radius, "V0": vtime},
         name=f"ef_sphere[r={radius:g},M={mass:g}]",
     )
 
@@ -302,10 +301,11 @@ def _ppwave_torus(u0=0.0, v0=0.0, period=TWO_PI, amplitude=0.5):
     return embedding_from_expressions(
         _ppwave(amplitude),
         ("u1", "u2"),
-        [f"{u0!r}", f"{v0!r}", "u1", "u2"],
+        ["U0", "V0", "u1", "u2"],
         param_domain=[(0.0, period), (0.0, period)],
         periodic=(True, True),
         closed=True,
+        constants={"U0": u0, "V0": v0},
         name="ppwave_torus",
     )
 
@@ -316,10 +316,11 @@ def _ppwave_wavy_torus(u0=0.0, v0=0.0, wobble=0.1, amplitude=0.5):
     return embedding_from_expressions(
         _ppwave(amplitude),
         ("u1", "u2"),
-        [f"{u0!r}", f"{v0!r} + {wobble!r}*cos(u1)*cos(u2)", "u1", "u2"],
+        ["U0", "V0 + W*cos(u1)*cos(u2)", "u1", "u2"],
         param_domain=[(0.0, TWO_PI), (0.0, TWO_PI)],
         periodic=(True, True),
         closed=True,
+        constants={"U0": u0, "V0": v0, "W": wobble},
         name="ppwave_wavy_torus",
     )
 

@@ -194,8 +194,10 @@ def _verify_eq3(args):
 
 
 def _verify_killing(args):
+    config_grid = None
     if args.config:
         config = load_config(args.config)
+        config_grid = config.grid
         embedding = build_embedding(config)
         fields = build_fields(config, embedding.ambient)
         if not fields:
@@ -215,7 +217,7 @@ def _verify_killing(args):
     results = []
     ok = True
     for emb, xi in cases:
-        grid = grid_for(args, emb.dim, GridSpec((24,) * emb.dim))
+        grid = grid_for(args, emb.dim, config_grid or GridSpec((24,) * emb.dim))
         res = variation.killing_integral_check(emb, xi, grid)
         passed = res.residual < 1e-6 and res.obstruction_ok
         ok = ok and passed
@@ -248,8 +250,10 @@ def _verify_killing(args):
 
 def _verify_variation(args):
     rng = np.random.default_rng(args.seed)
+    config_grid = None
     if args.config:
         config = load_config(args.config)
+        config_grid = config.grid
         embedding = build_embedding(config)
         fields = build_fields(config, embedding.ambient)
         if not fields:
@@ -264,7 +268,7 @@ def _verify_variation(args):
     results = []
     ok = True
     for emb, xi in pairs:
-        grid = grid_for(args, emb.dim, GridSpec((16,) * emb.dim))
+        grid = grid_for(args, emb.dim, config_grid or GridSpec((16,) * emb.dim))
         direct = variation.volume_variation(emb, xi, grid)
         flow = variation.FlowSpec(field=xi, tau_step=args.tau)
         oracle = variation.flow_volume_oracle(emb, flow, grid)

@@ -5,7 +5,6 @@ volume density and quadrature.
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import sympy as sp
 
 from . import expressions, findiff, quadrature
 from .errors import DegenerateInducedMetric, NotClosed, RankDeficientImmersion
@@ -231,18 +230,10 @@ def embedding_from_expressions(
     `chart_map` is a list of D expression strings in the parameter names.
     """
     parameters = tuple(parameters)
-    syms = expressions.make_symbols(parameters)
-    ordered = [syms[s] for s in parameters]
-    phi_exprs = expressions.parse_vector(chart_map, syms, constants)
-    if len(phi_exprs) != ambient.dim:
+    phi = expressions.template(parameters, chart_map, constants, order=2)
+    if phi.shape != (ambient.dim,):
         raise ValueError("chart_map must have one expression per ambient coordinate")
-    map_fn = expressions.lambdify_array(phi_exprs, ordered)
-    jac_exprs = [[sp.diff(e, s) for s in ordered] for e in phi_exprs]
-    jac_fn = expressions.lambdify_array(jac_exprs, ordered)
-    hess_exprs = [
-        [[sp.diff(e, sa, sb) for sb in ordered] for sa in ordered] for e in phi_exprs
-    ]
-    hess_fn = expressions.lambdify_array(hess_exprs, ordered)
+    map_fn, jac_fn, hess_fn = phi.bind(constants)
     return Embedding(
         ambient=ambient,
         dim=len(parameters),

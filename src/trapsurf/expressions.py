@@ -5,8 +5,14 @@ Component functions are given as strings in a small arithmetic grammar:
 coordinate/parameter symbols, named constants and pi.  Strings are parsed
 into sympy expressions (which also supplies analytic derivatives) after a
 strict token whitelist check, so arbitrary code can never be evaluated.
+
+The unit of compilation is a template: the texts, the symbol names and the
+names of the constants.  A template is parsed, differentiated and
+lambdified once per process, with each constant as an argument, so objects
+that differ only in their constants' values share one compiled template.
 """
 
+import functools
 import io
 import keyword
 import re
@@ -64,15 +70,11 @@ def _check_tokens(text, names):
             raise InvalidExpression(f"token {tok.string!r} not allowed")
 
 
-def parse_expression(text, symbols, constants=None):
-    """Parse one expression string into a sympy expression.
-
-    `symbols` maps coordinate/parameter names to sympy Symbols; `constants`
-    maps names to numeric values which are substituted immediately.
-    """
-    constants = dict(constants or {})
+def _parse(text, symbols, bound):
+    """Parse `text` in the coordinate `symbols` and the `bound` constants
+    (name -> sympy number or symbol); a bound name shadows a coordinate."""
     local = dict(symbols)
-    local.update({k: sp.Float(v) for k, v in constants.items()})
+    local.update(bound)
     _check_tokens(str(text), set(local))
     local.update(ALLOWED_FUNCTIONS)
     local["pi"] = sp.pi
@@ -88,10 +90,20 @@ def parse_expression(text, symbols, constants=None):
         )
     except Exception as exc:
         raise InvalidExpression(f"cannot parse {text!r}: {exc}") from exc
-    extra = expr.free_symbols - set(symbols.values())
+    extra = expr.free_symbols - set(symbols.values()) - set(bound.values())
     if extra:
         raise InvalidExpression(f"unknown symbols {sorted(map(str, extra))}")
     return expr
+
+
+def parse_expression(text, symbols, constants=None):
+    """Parse one expression string into a sympy expression.
+
+    `symbols` maps coordinate/parameter names to sympy Symbols; `constants`
+    maps names to numeric values which are substituted immediately.
+    """
+    bound = {k: sp.Float(v) for k, v in dict(constants or {}).items()}
+    return _parse(text, symbols, bound)
 
 
 def make_symbols(names):
@@ -124,32 +136,161 @@ def lift(fn):
     return blockwise(lifted)
 
 
-def lambdify_array(exprs, syms):
-    """Lambdify a nested list / sympy Array of expressions into a blockwise
-    x -> ndarray.
+def _shape(nested):
+    """The shape of a regular nested list of expressions."""
+    if not isinstance(nested, (list, tuple)):
+        return ()
+    shapes = {_shape(e) for e in nested}
+    if len(shapes) > 1:
+        raise InvalidExpression(
+            f"ragged expression array: entry shapes {sorted(shapes)}")
+    return (len(nested),) + (shapes.pop() if shapes else ())
 
-    One point x (n,) gives an array of the expressions' shape; a block
-    (N, n) gives (N, *shape) from one call.  Constant entries, which numpy
-    evaluates to scalars, are broadcast over the block.
+
+class _Lambdified:
+    """A nested list of expressions lambdified once, in the coordinates
+    followed by the constants; `bind` fixes the constants' values."""
+
+    def __init__(self, exprs, syms):
+        self.shape = _shape(exprs)
+        self.entries = sp.flatten(exprs)
+        self.fn = sp.lambdify(syms, self.entries, modules="numpy")
+
+    def bind(self, values):
+        """A blockwise x -> ndarray: one point x (n,) gives an array of the
+        expressions' shape, a block (N, n) gives (N, *shape) from one call.
+        Constant entries, which numpy evaluates to scalars, are broadcast."""
+        fn, size, shape = self.fn, len(self.entries), self.shape
+
+        def wrapped(x):
+            x = np.asarray(x, dtype=float)
+            out = np.empty(x.shape[:-1] + (size,))
+            for k, value in enumerate(fn(*np.moveaxis(x, -1, 0), *values)):
+                out[..., k] = value
+            return out.reshape(x.shape[:-1] + shape)
+
+        return blockwise(wrapped)
+
+
+# Compiled templates kept per process; like BLOCK_NODES, a fixed bound.
+TEMPLATE_CACHE_SIZE = 128
+
+
+def _map(fn, nested):
+    if isinstance(nested, list):
+        return [_map(fn, e) for e in nested]
+    return fn(nested)
+
+
+def _derivatives(exprs, syms, axis_first):
+    """d exprs / d s for each s in syms, on a new first or last axis."""
+    if axis_first:
+        return [_map(lambda e: sp.diff(e, s), exprs) for s in syms]
+    return _map(lambda e: [sp.diff(e, s) for s in syms], exprs)
+
+
+def _constant_symbols(names, constant_names):
+    """A symbol per constant, named apart from every coordinate (a constant
+    may shadow a coordinate's name in the text) and from the functions of
+    the generated code.  Plain, fixed names, not Dummies: lambdify orders
+    products by symbol name, so the evaluation order (and the rounding)
+    depends on the template alone."""
+    taken = set(names)
+    symbols = {}
+    for c in constant_names:
+        name = "_" + c
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        symbols[c] = sp.Symbol(name, real=True)
+    return symbols
+
+
+class Template:
+    """Expression texts compiled once for every value of their constants.
+
+    The constants are sympy symbols while parsing, differentiating and
+    lambdifying; each object built from the template binds its own values.
+    `exprs` is the parsed nested list, `constant_symbols` maps each constant
+    name to its symbol.
     """
-    arr = sp.Array(exprs)
-    shape = arr.shape
-    entries = sp.flatten(arr.tolist())
-    f = sp.lambdify(syms, entries, modules="numpy")
 
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (len(entries),))
-        for k, value in enumerate(f(*np.moveaxis(x, -1, 0))):
-            out[..., k] = value
-        return out.reshape(x.shape[:-1] + shape)
+    def __init__(self, names, texts, constant_names, order, axis_first):
+        syms = make_symbols(names)
+        ordered = [syms[n] for n in names]
+        self.constant_symbols = _constant_symbols(names, constant_names)
+        parsed = {}
 
-    return blockwise(wrapped)
+        def parse(node):
+            if isinstance(node, tuple):
+                return [parse(e) for e in node]
+            if node not in parsed:
+                parsed[node] = _parse(node, syms, self.constant_symbols)
+            return parsed[node]
+
+        self.exprs = parse(texts)
+        args = ordered + list(self.constant_symbols.values())
+        arrays = [self.exprs]
+        for _ in range(order):
+            arrays.append(_derivatives(arrays[-1], ordered, axis_first))
+        self._arrays = [_Lambdified(a, args) for a in arrays]
+        self.shape = self._arrays[0].shape
+
+    @functools.cached_property
+    def _asymmetry(self):
+        """exprs[i][j] - exprs[j][i] for each i < j where the two entries
+        differ for some constant values (square templates only)."""
+        m = self.exprs
+        diffs = []
+        for i in range(len(m)):
+            for j in range(i + 1, len(m)):
+                if m[i][j] != m[j][i]:
+                    diff = sp.simplify(m[i][j] - m[j][i])
+                    if diff != 0:
+                        diffs.append(diff)
+        return tuple(diffs)
+
+    def symmetric(self, constants):
+        """Whether a square template is symmetric at these constant values.
+
+        The symbolic check runs once per template; only entry pairs that
+        differ symbolically are checked again with the values substituted.
+        """
+        values = dict(zip(self.constant_symbols.values(), self._values(constants)))
+        return all(sp.simplify(d.subs(values)) == 0 for d in self._asymmetry)
+
+    def _values(self, constants):
+        """The constants' values as floats, in argument order."""
+        return tuple(float(constants[c]) for c in self.constant_symbols)
+
+    def bind(self, constants=None):
+        """Blockwise callables for the expressions and each derivative
+        order, with `constants` (name -> value) fixed."""
+        values = self._values(constants)
+        return [a.bind(values) for a in self._arrays]
 
 
-def parse_matrix(rows, symbols, constants=None):
-    return [[parse_expression(e, symbols, constants) for e in row] for row in rows]
+def _texts(nested):
+    if isinstance(nested, (list, tuple)):
+        return tuple(_texts(e) for e in nested)
+    return str(nested)
 
 
-def parse_vector(entries, symbols, constants=None):
-    return [parse_expression(e, symbols, constants) for e in entries]
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _compile(names, texts, constant_names, order, axis_first):
+    return Template(names, texts, constant_names, order, axis_first)
+
+
+def template(names, texts, constants=None, order=0, axis_first=False):
+    """The compiled template of `texts`, a nested list of expression strings
+    in the symbols `names` and the names of `constants`, with derivatives up
+    to `order` in `names`, each on a new last (or, with `axis_first`, first)
+    axis.
+
+    Compiled templates are cached by text and names, never by constant
+    values, in a least-recently-used cache of TEMPLATE_CACHE_SIZE entries.
+    A text that fails a check raises InvalidExpression on every attempt.
+    """
+    return _compile(tuple(names), _texts(texts), tuple(sorted(constants or ())),
+                    order, axis_first)
+

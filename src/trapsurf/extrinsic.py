@@ -245,11 +245,11 @@ class ClassificationReport:
         rows = [header]
         for lab in self.labels:
             rows.append(
-                [f"{x!r}" for x in lab.u]
+                [repr(float(x)) for x in lab.u]
                 + [
-                    f"{lab.h_norm2!r}",
+                    repr(float(lab.h_norm2)),
                     f"{lab.causal.value}/{lab.time.value}",
-                    f"{lab.margin!r}",
+                    repr(float(lab.margin)),
                 ]
             )
         return rows

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-import sympy as sp
 
 from . import expressions, findiff
 from .errors import DegenerateMetric, DerivativeFailure, PointOutsideChart
@@ -297,21 +296,18 @@ def metric_from_expressions(
     """
     coordinates = tuple(coordinates)
     dim = len(coordinates)
-    syms = expressions.make_symbols(coordinates)
-    ordered = [syms[c] for c in coordinates]
-    g_exprs = expressions.parse_matrix(components, syms, constants)
-    g_mat = sp.Matrix(g_exprs)
-    if sp.simplify(g_mat - g_mat.T) != sp.zeros(dim, dim):
+    g = expressions.template(coordinates, components, constants, order=1,
+                             axis_first=True)
+    if g.shape != (dim, dim):
+        raise ValueError(f"metric component matrix must be {dim} x {dim}")
+    if not g.symmetric(constants):
         raise ValueError("metric component matrix must be symmetric")
-    comp_fn = expressions.lambdify_array(g_exprs, ordered)
-    dg_exprs = [[[sp.diff(g_exprs[m][n], s) for n in range(dim)] for m in range(dim)]
-                for s in ordered]
-    deriv_fn = expressions.lambdify_array(dg_exprs, ordered)
+    comp_fn, deriv_fn = g.bind(constants)
 
     orient_fn = None
     if time_orientation is not None:
-        t_exprs = expressions.parse_vector(time_orientation, syms, constants)
-        orient_fn = expressions.lambdify_array(t_exprs, ordered)
+        orient_fn, = expressions.template(
+            coordinates, time_orientation, constants).bind(constants)
 
     domain_fn = None
     if chart_bounds is not None:
@@ -336,11 +332,8 @@ def metric_from_expressions(
 
 def vector_field_from_expressions(coordinates, components, *, constants=None, name=""):
     """Build a VectorField (with analytic jacobian) from expression strings."""
-    coordinates = tuple(coordinates)
-    syms = expressions.make_symbols(coordinates)
-    ordered = [syms[c] for c in coordinates]
-    xi_exprs = expressions.parse_vector(components, syms, constants)
-    value_fn = expressions.lambdify_array(xi_exprs, ordered)
-    jac_exprs = [[sp.diff(e, s) for s in ordered] for e in xi_exprs]
-    jac_fn = expressions.lambdify_array(jac_exprs, ordered)
+    xi = expressions.template(coordinates, components, constants, order=1)
+    if xi.shape != (len(coordinates),):
+        raise ValueError("components must have one expression per coordinate")
+    value_fn, jac_fn = xi.bind(constants)
     return VectorField(value=value_fn, jacobian=jac_fn, name=name)

@@ -1,14 +1,11 @@
-import functools
-
 import numpy as np
 import pytest
 
 from trapsurf import catalog
 
 
-@functools.lru_cache(maxsize=None)
 def cat(name, **params):
-    """Catalog objects are immutable, so share one instance per test run."""
+    """A catalog object; its expression template compiles once per run."""
     return catalog.instantiate(name, **params)
 
 

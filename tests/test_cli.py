@@ -242,3 +242,46 @@ def test_missing_embedding_is_config_error(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 64
     assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["killing", "variation"])
+def test_verify_uses_the_config_grid(tmp_path, capsys, command):
+    cfg = {
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+    }
+    reports = {}
+    for label, grid, argv in (("config", [4, 6], ()), ("option", None, ("--grid", "4,6")),
+                              ("default", None, ())):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({**cfg, "grid": {"points_per_axis": grid}}
+                                   if grid else cfg))
+        out_json = tmp_path / f"{label}-report.json"
+        code, _, _ = run(capsys, "verify", command, "--config", str(path), *argv,
+                         "--out-json", str(out_json))
+        assert code == 0
+        reports[label] = json.loads(out_json.read_text())
+    assert reports["config"] == reports["option"]
+    assert reports["config"] != reports["default"]
+
+    # a config grid goes through the same axis check as --grid
+    path = tmp_path / "three_axes.json"
+    path.write_text(json.dumps({**cfg, "grid": {"points_per_axis": [4, 4, 4]}}))
+    code, _, err = run(capsys, "verify", command, "--config", str(path))
+    assert code == 64
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def test_classification_csv_cells_are_numbers(tmp_path, capsys):
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "classify", "--embedding", "ef_sphere:radius=1.5",
+                     "--grid", "2,4", "--out-csv", str(out_csv))
+    assert code == 0
+    header, *rows = [line.split(",") for line in out_csv.read_text().splitlines()]
+    label = header.index("label")
+    assert len(rows) == 8
+    for row in rows:
+        for k, cell in enumerate(row):
+            if k != label:
+                float(cell)

@@ -5,10 +5,9 @@ import sympy as sp
 
 from trapsurf.errors import InvalidExpression
 from trapsurf.expressions import (
-    lambdify_array,
     make_symbols,
     parse_expression,
-    parse_matrix,
+    template,
 )
 
 
@@ -18,8 +17,9 @@ def syms():
 
 
 def test_parse_basic(syms):
-    expr = parse_expression("r**2 * sin(th)**2", syms)
-    fn = lambdify_array([expr], [syms["r"], syms["th"]])
+    compiled = template(("r", "th"), ["r**2 * sin(th)**2"])
+    assert compiled.exprs[0] == parse_expression("r**2 * sin(th)**2", syms)
+    fn, = compiled.bind()
     assert fn([2.0, math.pi / 2])[0] == pytest.approx(4.0)
 
 
@@ -69,6 +69,8 @@ def test_injection_attempts_rejected(syms, bad):
 
 
 def test_parse_matrix_shape(syms):
-    rows = parse_matrix([["r", "0"], ["0", "sin(th)"]], syms)
+    compiled = template(("r", "th"), [["r", "0"], ["0", "sin(th)"]])
+    rows = compiled.exprs
+    assert compiled.shape == (2, 2)
     assert len(rows) == 2 and len(rows[0]) == 2
     assert rows[1][1] == sp.sin(syms["th"])
