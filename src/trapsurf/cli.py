@@ -120,10 +120,10 @@ def grid_for(args, dim, default):
     return grid
 
 
-def _collect_output_paths(config, args):
-    json_paths = [o["path"] for o in config.outputs if o["format"] == "json"]
-    csv_paths = [o["path"] for o in config.outputs if o["format"] == "csv"]
-    text_paths = [o["path"] for o in config.outputs if o["format"] == "text"]
+def _collect_output_paths(outputs, args):
+    json_paths = [o["path"] for o in outputs if o["format"] == "json"]
+    csv_paths = [o["path"] for o in outputs if o["format"] == "csv"]
+    text_paths = [o["path"] for o in outputs if o["format"] == "text"]
     if args.out_json:
         json_paths.append(args.out_json)
     if getattr(args, "out_csv", None):
@@ -154,7 +154,7 @@ def cmd_classify(args):
     write_outputs(
         report.to_dict(),
         report.to_csv_rows(embedding.param_names),
-        *_collect_output_paths(config, args),
+        *_collect_output_paths(config.outputs, args),
         text_body=text,
     )
     if report.verdict == "Mixed" and report.boundary_count > 0:
@@ -162,7 +162,16 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def _verify_eq3(args):
+def _config_cases(config, check):
+    """(embedding, field) pairs of a verify config: its embedding with each field."""
+    embedding = build_embedding(config)
+    fields = build_fields(config, embedding.ambient)
+    if not fields:
+        raise ConfigError(f"verify {check} needs at least one vector field")
+    return [(embedding, xi) for xi in fields]
+
+
+def _verify_eq3(args, config):
     rng = np.random.default_rng(args.seed)
     triples = args.triples
     tol = 1e-4 if args.fd else 1e-6
@@ -193,16 +202,10 @@ def _verify_eq3(args):
     return report, text, EXIT_OK if worst < tol else EXIT_NUMERICAL
 
 
-def _verify_killing(args):
-    config_grid = None
-    if args.config:
-        config = load_config(args.config)
-        config_grid = config.grid
-        embedding = build_embedding(config)
-        fields = build_fields(config, embedding.ambient)
-        if not fields:
-            raise ConfigError("verify killing needs at least one vector field")
-        cases = [(embedding, xi) for xi in fields]
+def _verify_killing(args, config):
+    config_grid = config.grid if config else None
+    if config is not None:
+        cases = _config_cases(config, "killing")
     else:
         cases = [
             (catalog.instantiate("comoving_sphere_rw", scale="t"),
@@ -236,7 +239,6 @@ def _verify_killing(args):
     report = {
         "schema": "report_v1",
         "kind": "killing",
-        "seed": args.seed,
         "cases": results,
         "passed": ok,
     }
@@ -248,17 +250,11 @@ def _verify_killing(args):
     return report, "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _verify_variation(args):
+def _verify_variation(args, config):
     rng = np.random.default_rng(args.seed)
-    config_grid = None
-    if args.config:
-        config = load_config(args.config)
-        config_grid = config.grid
-        embedding = build_embedding(config)
-        fields = build_fields(config, embedding.ambient)
-        if not fields:
-            raise ConfigError("verify variation needs at least one vector field")
-        pairs = [(embedding, xi) for xi in fields]
+    config_grid = config.grid if config else None
+    if config is not None:
+        pairs = _config_cases(config, "variation")
     else:
         pairs = []
         for _ in range(args.pairs):
@@ -302,13 +298,13 @@ def _verify_variation(args):
 
 
 def cmd_verify(args):
+    config = load_config(args.config) if getattr(args, "config", None) else None
     runner = {"eq3": _verify_eq3, "killing": _verify_killing,
               "variation": _verify_variation}[args.check]
-    report, text, code = runner(args)
+    report, text, code = runner(args, config)
     print(text, end="")
-    if args.out_json:
-        with open(args.out_json, "w") as handle:
-            handle.write(dump_json(report))
+    outputs = config.outputs if config else ()
+    write_outputs(report, None, *_collect_output_paths(outputs, args), text_body=text)
     return code
 
 
@@ -364,17 +360,20 @@ def build_parser():
     p_cls.add_argument("--out-csv", help="write per-point CSV here")
 
     p_ver = sub.add_parser("verify", help="run identity verification suites")
-    p_ver.add_argument("check", choices=("eq3", "killing", "variation"))
-    common(p_ver)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--triples", type=int, default=200,
-                       help="random triples for eq3")
-    p_ver.add_argument("--pairs", type=int, default=20,
-                       help="random pairs for variation")
-    p_ver.add_argument("--tau", type=float, default=1e-4,
-                       help="flow parameter for the variation oracle")
-    p_ver.add_argument("--fd", action="store_true",
+    checks = p_ver.add_subparsers(dest="check", required=True)
+    p_eq3 = checks.add_parser("eq3", help="volume-element identity at random triples")
+    p_eq3.add_argument("--seed", type=int, default=0)
+    p_eq3.add_argument("--triples", type=int, default=200, help="random triples")
+    p_eq3.add_argument("--fd", action="store_true",
                        help="drop analytic derivatives (finite differences)")
+    p_eq3.add_argument("--out-json", help="write the JSON report here")
+    common(checks.add_parser("killing", help="conformal-Killing integral identity"))
+    p_var = checks.add_parser("variation", help="first variation against the flow oracle")
+    common(p_var)
+    p_var.add_argument("--seed", type=int, default=0)
+    p_var.add_argument("--pairs", type=int, default=20, help="random pairs")
+    p_var.add_argument("--tau", type=float, default=1e-4,
+                       help="flow parameter for the oracle")
 
     p_cat = sub.add_parser("catalog", help="list or show catalog entries")
     p_cat.add_argument("action", choices=("list", "show"))

@@ -26,6 +26,9 @@ _METRIC_INLINE_KEYS = {"coordinates", "components", "constants",
 _EMBEDDING_INLINE_KEYS = {"parameters", "map", "domain", "periodic", "closed",
                           "constants", "name"}
 _FIELD_INLINE_KEYS = {"coordinates", "components", "constants", "name"}
+_METRIC_REQUIRED = ("coordinates", "components")
+_EMBEDDING_REQUIRED = ("parameters", "map", "domain")
+_FIELD_REQUIRED = ("components",)
 _GRID_KEYS = {"points_per_axis", "rule"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOLERANCE_NAMES = {"null_band"}
@@ -37,10 +40,13 @@ def _require_mapping(obj, where):
     return obj
 
 
-def _check_keys(obj, allowed, where):
+def _check_keys(obj, allowed, where, required=()):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
 def grid_spec(points, rule="auto"):
@@ -80,7 +86,7 @@ class ObjectRef:
     inline: dict = None
 
     @classmethod
-    def parse(cls, obj, where, inline_keys):
+    def parse(cls, obj, where, inline_keys, required):
         _require_mapping(obj, where)
         _check_keys(obj, _OBJECT_KEYS, where)
         has_cat = "catalog" in obj
@@ -91,7 +97,7 @@ class ObjectRef:
             )
         if has_inline:
             inline = _require_mapping(obj["inline"], f"{where}.inline")
-            _check_keys(inline, inline_keys, f"{where}.inline")
+            _check_keys(inline, inline_keys, f"{where}.inline", required)
             if "params" in obj:
                 raise ConfigError(f"{where}: 'params' only applies to catalog refs")
             return cls(inline=dict(inline))
@@ -121,15 +127,15 @@ class RunConfig:
         if "embedding" not in data:
             raise ConfigError("config requires an 'embedding' entry")
         embedding = ObjectRef.parse(data["embedding"], "embedding",
-                                    _EMBEDDING_INLINE_KEYS)
+                                    _EMBEDDING_INLINE_KEYS, _EMBEDDING_REQUIRED)
         metric = None
         if "metric" in data:
             metric = ObjectRef.parse(data["metric"], "metric",
-                                     _METRIC_INLINE_KEYS)
+                                     _METRIC_INLINE_KEYS, _METRIC_REQUIRED)
         if embedding.inline is not None and metric is None:
             raise ConfigError("an inline embedding requires a 'metric' entry")
         fields = tuple(
-            ObjectRef.parse(f, f"fields[{i}]", _FIELD_INLINE_KEYS)
+            ObjectRef.parse(f, f"fields[{i}]", _FIELD_INLINE_KEYS, _FIELD_REQUIRED)
             for i, f in enumerate(data.get("fields", []))
         )
         grid = None
@@ -179,11 +185,22 @@ def _from_catalog(ref: ObjectRef, kind):
     return catalog.instantiate(entry.name, **ref.params)
 
 
+def _inline(where, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError or TypeError a ConfigError
+    that names the inline object `where`."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid inline {where}: {exc}") from None
+
+
 def build_metric(ref: ObjectRef):
     if ref.catalog is not None:
         return _from_catalog(ref, "metric")
     inline = ref.inline
-    return metric_from_expressions(
+    return _inline(
+        "metric",
+        metric_from_expressions,
         inline["coordinates"],
         inline["components"],
         constants=inline.get("constants"),
@@ -210,7 +227,9 @@ def build_embedding(config: RunConfig):
         return embedding
     inline = ref.inline
     ambient = build_metric(config.metric)
-    return embedding_from_expressions(
+    return _inline(
+        "embedding",
+        embedding_from_expressions,
         ambient,
         inline["parameters"],
         inline["map"],
@@ -224,17 +243,17 @@ def build_embedding(config: RunConfig):
 
 def build_fields(config: RunConfig, ambient):
     built = []
-    for ref in config.fields:
+    for i, ref in enumerate(config.fields):
         if ref.catalog is not None:
             built.append(_from_catalog(ref, "vector_field"))
         else:
             inline = ref.inline
-            built.append(
-                vector_field_from_expressions(
-                    inline.get("coordinates", ambient.coordinates),
-                    inline["components"],
-                    constants=inline.get("constants"),
-                    name=inline.get("name", "inline-field"),
-                )
-            )
+            built.append(_inline(
+                f"fields[{i}]",
+                vector_field_from_expressions,
+                inline.get("coordinates", ambient.coordinates),
+                inline["components"],
+                constants=inline.get("constants"),
+                name=inline.get("name", "inline-field"),
+            ))
     return built

@@ -88,6 +88,8 @@ class Embedding:
             object.__setattr__(self, "periodic", (False,) * self.dim)
         else:
             object.__setattr__(self, "periodic", tuple(bool(b) for b in self.periodic))
+        if len(dom) != self.dim or len(self.periodic) != self.dim:
+            raise ValueError(f"param_domain and periodic need {self.dim} entries each")
         if self.param_names is None:
             object.__setattr__(
                 self, "param_names", tuple(f"u{a + 1}" for a in range(self.dim))
@@ -100,7 +102,7 @@ class Embedding:
         return self.ambient.dim - self.dim
 
     def point(self, u):
-        return np.asarray(self.chart_map(as_point(u)), dtype=float)
+        return self.point_block(as_point(u)[None])[0]
 
     def point_block(self, us):
         return np.asarray(self.chart_map(as_points(us)), dtype=float)
@@ -112,9 +114,6 @@ class Embedding:
             return np.asarray(self.jacobian(us), dtype=float)
         return np.swapaxes(findiff.gradient(self.chart_map, us), -1, -2)
 
-    def frame_at(self, u):
-        return self.frame_block(as_point(u)[None])[0]
-
     def second_frame_block(self, us):
         """H[k, mu, a, b] = d_a d_b Phi^mu at each node of a block."""
         us = as_points(us)
@@ -124,10 +123,6 @@ class Embedding:
             # d_a of the analytic jacobian: grad[k, a, mu, b] -> [k, mu, a, b]
             return findiff.gradient(self.jacobian, us).transpose(0, 2, 1, 3)
         return findiff.hessian(self.chart_map, us).transpose(0, 3, 1, 2)
-
-    def second_frame_at(self, u):
-        """H[mu, a, b] = d_a d_b Phi^mu."""
-        return self.second_frame_block(as_point(u)[None])[0]
 
     def induced_block(self, us):
         """Frame, induced metric, inverse and volume density at a block of
@@ -183,12 +178,10 @@ class Embedding:
                 f"embedding {self.name!r} is not closed; pass allow_boundary=True "
                 "to integrate over the open parameter box anyway"
             )
-        return quadrature.integrate(
-            lambda us: self.induced_block(us).vol_density,
-            self.param_domain,
-            self.periodic,
-            grid,
-        )
+        points, weights = quadrature.grid_nodes(self.param_domain, self.periodic, grid)
+        density, = quadrature.map_blocks(
+            lambda us: (self.induced_block(us).vol_density,), points)
+        return float(np.sum(weights * density))
 
     def sample_box(self):
         """Parameter box shrunk by the pole margin, for random sampling."""

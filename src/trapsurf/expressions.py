@@ -121,16 +121,12 @@ def lift(fn):
 
     A callable marked `blockwise` is returned as it is.  Any other callable
     is taken to accept one point (n,): the lifted version calls it once per
-    node and stacks the results, and passes a single point straight through.
-    None stays None.
+    node and stacks the results.  None stays None.
     """
     if fn is None or getattr(fn, "blockwise", False):
         return fn
 
     def lifted(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return fn(x)
         return np.array([np.asarray(fn(row), dtype=float) for row in x])
 
     return blockwise(lifted)

@@ -1,8 +1,8 @@
 """Ambient semi-Riemannian geometry: metric fields, Christoffel symbols,
 causal classification and Lie derivatives of the metric.
 
-Points are plain 1-d numpy arrays of coordinate values.  All objects are
-immutable; every operation is a pure function of its inputs.
+Points are 1-d coordinate arrays; callables only see blocks (N, n) of them.
+All objects are immutable; every operation is a pure function of its inputs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -105,7 +105,7 @@ class VectorField:
         object.__setattr__(self, "jacobian", expressions.lift(self.jacobian))
 
     def at(self, p):
-        return np.asarray(self.value(as_point(p)), dtype=float)
+        return self.value_block(as_point(p)[None])[0]
 
     def value_block(self, points):
         """xi^mu at a block of points (N, D) -> (N, D)."""
@@ -165,12 +165,6 @@ class MetricField:
     def is_lorentzian(self):
         return sorted(self.signature) == [-1] + [1] * (self.dim - 1)
 
-    def contains(self, p):
-        p = as_point(p)
-        if p.size != self.dim:
-            return False
-        return bool(self.chart_domain(p)) if self.chart_domain is not None else True
-
     def _check_chart(self, points):
         points = as_points(points)
         if points.shape[1] != self.dim:
@@ -199,9 +193,6 @@ class MetricField:
     def at(self, p):
         return self.metric_block(as_point(p)[None])[0]
 
-    def inverse_at(self, p):
-        return np.linalg.inv(self.at(p))
-
     def partials_block(self, points):
         """dg[k, rho, mu, nu] = d_rho g_{mu nu} at each point of a block,
         analytic or finite-difference."""
@@ -209,10 +200,6 @@ class MetricField:
         if self.derivatives is not None:
             return np.asarray(self.derivatives(points), dtype=float)
         return findiff.gradient(self.metric_block, points)
-
-    def partials_at(self, p):
-        """dg[rho, mu, nu] = d_rho g_{mu nu}, analytic or finite-difference."""
-        return self.partials_block(as_point(p)[None])[0]
 
     def christoffel_block(self, points, g=None):
         """Gamma^mu_{rho sigma} at each point of a block; `g` is the metric

@@ -94,9 +94,9 @@ def node_blocks(points):
     return [points[i:i + BLOCK_NODES] for i in range(0, len(points), BLOCK_NODES)]
 
 
-def integrate(fn, domain, periodic, spec: GridSpec):
-    """Quadrature over the box of fn, which maps a block of nodes (N, d)
-    to values (N,); pairwise-summed."""
-    points, weights = grid_nodes(domain, periodic, spec)
-    values = np.concatenate([fn(block) for block in node_blocks(points)])
-    return float(np.sum(weights * values))
+def map_blocks(fn, points):
+    """fn over the node blocks of `points`, where fn maps a block (N, d) to
+    a tuple of per-node arrays (N, ...); each output concatenated over the
+    blocks."""
+    outputs = zip(*(fn(block) for block in node_blocks(points)))
+    return tuple(np.concatenate(parts) for parts in outputs)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import expressions, findiff, quadrature
 from .embedding import Embedding
-from .errors import FlowLeftChart, NotClosed, NotConformal
+from .errors import FlowLeftChart, NotClosed, NotConformal, PointOutsideChart
 from .extrinsic import extrinsic_block, extrinsic_data
 from .geometry import MetricField, VectorField, as_point
 from .quadrature import GridSpec
@@ -73,9 +73,9 @@ def surface_divergence(E: Embedding, xi: VectorField, u):
 def rhs_identity(E: Embedding, xi: VectorField, u):
     """div(bar-xi) + g(xi, H); equals first_variation_density analytically."""
     ext = extrinsic_data(E, u)
-    return surface_divergence(E, xi, u) + float(
-        xi.at(ext.base.p) @ ext.base.g @ ext.mean_curvature
-    )
+    base = ext.base
+    div = _surface_divergence_block(E, xi, base.u[None], base.vol_density)
+    return float(div[0]) + float(xi.at(base.p) @ base.g @ ext.mean_curvature)
 
 
 def _flux(xi: VectorField, ext):
@@ -109,15 +109,14 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
             "accept an unverified boundary term"
         )
     points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    div_vals, exp_vals = [], []
-    for block in quadrature.node_blocks(points):
+
+    def terms(block):
         ext = extrinsic_block(E, block)
-        base = ext.base
-        div = _surface_divergence_block(E, xi, block, base.vol_density)
-        div_vals.append(div * base.vol_density)
-        exp_vals.append(_flux(xi, ext) * base.vol_density)
-    div_vals = np.concatenate(div_vals)
-    exp_vals = np.concatenate(exp_vals)
+        dens = ext.base.vol_density
+        div = _surface_divergence_block(E, xi, block, dens)
+        return div * dens, _flux(xi, ext) * dens
+
+    div_vals, exp_vals = quadrature.map_blocks(terms, points)
     div_term = float(np.sum(weights * div_vals))
     exp_term = float(np.sum(weights * exp_vals))
     return VariationResult(
@@ -127,28 +126,28 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
     )
 
 
-def _rk4_step(metric: MetricField, xi: VectorField, p, h):
+def flow_block(metric: MetricField, xi: VectorField, points, tau, steps=1):
+    """Transport each point of a block (N, D) along the flow of xi to
+    parameter time tau (RK4).  Every stage point and end point must lie in
+    the metric's chart; FlowLeftChart names the first one that does not."""
+
+    def inside(x):
+        try:
+            return metric._check_chart(x)
+        except PointOutsideChart as exc:
+            raise FlowLeftChart(f"flow of {xi.name!r} left the chart: {exc}") from None
+
     def rate(x):
-        if not metric.contains(x):
-            raise FlowLeftChart(f"flow of {xi.name!r} left the chart at {x}")
-        return xi.at(x)
+        return xi.value_block(inside(x))
 
-    k1 = rate(p)
-    k2 = rate(p + 0.5 * h * k1)
-    k3 = rate(p + 0.5 * h * k2)
-    k4 = rate(p + h * k3)
-    out = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not metric.contains(out):
-        raise FlowLeftChart(f"flow of {xi.name!r} left the chart at {out}")
-    return out
-
-
-def flow_point(metric: MetricField, xi: VectorField, p, tau, steps=1):
-    """Transport p along the flow of xi to parameter time tau (RK4)."""
-    p = as_point(p)
+    p = np.asarray(points, dtype=float)
     h = tau / steps
     for _ in range(steps):
-        p = _rk4_step(metric, xi, p, h)
+        k1 = rate(p)
+        k2 = rate(p + 0.5 * h * k1)
+        k3 = rate(p + 0.5 * h * k2)
+        k4 = rate(p + h * k3)
+        p = inside(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return p
 
 
@@ -159,8 +158,9 @@ def flowed_embedding(E: Embedding, xi: VectorField, tau, steps=1):
     is carried over, keeping the oracle independent of the identity path.
     """
 
-    def moved(u):
-        return flow_point(E.ambient, xi, E.point(u), tau, steps=steps)
+    @expressions.blockwise
+    def moved(us):
+        return flow_block(E.ambient, xi, E.point_block(us), tau, steps=steps)
 
     return Embedding(
         ambient=E.ambient,
@@ -192,7 +192,7 @@ def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
 class ConformalData:
     """Conformal factor samples and the residual of Lie_xi g = 2 Psi g."""
 
-    psi: object            # callable p -> Psi(p); lifted to blocks of points
+    psi: object            # callable on blocks of points (N, D) -> Psi (N,)
     residual: float
     tolerance: float
 
@@ -215,10 +215,8 @@ def conformal_check(metric: MetricField, xi: VectorField, sample_points,
         return np.einsum("kmn,kmn->k", np.linalg.inv(g), lie) / (2.0 * dim), lie, g
 
     @expressions.blockwise
-    def psi(p):
-        p = np.asarray(p, dtype=float)
-        values = psi_and_lie(np.atleast_2d(p))[0]
-        return values if p.ndim == 2 else float(values[0])
+    def psi(points):
+        return psi_and_lie(points)[0]
 
     values, lie, g = psi_and_lie(np.asarray(sample_points, dtype=float))
     dev = lie - (2.0 * values)[:, None, None] * g
@@ -257,13 +255,12 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
             f"field {xi.name!r} fails the conformal residual test: "
             f"{conformal.residual:.3e} >= {conformal.tolerance:.3e}"
         )
-    psi_vals, flux_vals, dens = [], [], []
-    for block in quadrature.node_blocks(points):
+
+    def terms(block):
         ext = extrinsic_block(E, block)
-        psi_vals.append(np.asarray(conformal.psi(ext.base.p), dtype=float))
-        flux_vals.append(_flux(xi, ext))
-        dens.append(ext.base.vol_density)
-    psi_vals, flux_vals, dens = map(np.concatenate, (psi_vals, flux_vals, dens))
+        return conformal.psi(ext.base.p), _flux(xi, ext), ext.base.vol_density
+
+    psi_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
     lhs = float(np.sum(weights * psi_vals * dens))
     flux = float(np.sum(weights * flux_vals * dens))
     rhs = flux / E.dim
@@ -329,24 +326,25 @@ def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
     spacelike test and the fit residual.
     """
     points, _ = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    lambdas, residuals = [], []
-    spacelike = False
-    for block in quadrature.node_blocks(points):
+
+    def fit(block):
         ext = extrinsic_block(E, block)
         xi_val = xi.value_block(ext.base.p)
         h_vec = ext.mean_curvature
         scale2 = np.maximum(np.einsum("km,kmn,kn->k", h_vec, ext.base.absg, h_vec), 0.0)
-        spacelike = spacelike or bool(np.any(ext.h_norm2 > tol * np.maximum(scale2, 1.0)))
+        spacelike = ext.h_norm2 > tol * np.maximum(scale2, 1.0)
         denom = np.einsum("km,km->k", xi_val, xi_val)
         fitted = denom > 0.0
         lam = np.where(fitted, np.einsum("km,km->k", xi_val, h_vec)
                        / np.where(fitted, denom, 1.0), 0.0)
-        lambdas.append(lam)
-        residuals.append(np.linalg.norm(h_vec - lam[:, None] * xi_val, axis=1)
-                         / (1.0 + np.abs(lam)))
+        residual = (np.linalg.norm(h_vec - lam[:, None] * xi_val, axis=1)
+                    / (1.0 + np.abs(lam)))
+        return lam, residual, spacelike
+
+    lambdas, residuals, spacelike = quadrature.map_blocks(fit, points)
     return ParallelFitResult(
-        lambdas=np.concatenate(lambdas),
-        max_residual=float(np.concatenate(residuals).max(initial=0.0)),
-        spacelike_somewhere=spacelike,
+        lambdas=lambdas,
+        max_residual=float(residuals.max(initial=0.0)),
+        spacelike_somewhere=bool(spacelike.any()),
         tol=tol,
     )

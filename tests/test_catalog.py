@@ -99,7 +99,7 @@ def test_declared_symmetry_fields_pass_conformal_residual(rng):
                       ("rotation_z", 0.0), ("dilation", 1.0)):
         res = conformal_check(cat("minkowski"), cat(name), mink_sample)
         assert res.residual < 1e-8, name
-        assert res.psi(mink_sample[0]) == pytest.approx(psi, abs=1e-10)
+        assert res.psi(mink_sample) == pytest.approx(np.full(10, psi), abs=1e-10)
 
     rw_sample = [np.array([1.0 + 2 * rng.random(), *rng.normal(size=3)])
                  for _ in range(10)]
@@ -108,13 +108,13 @@ def test_declared_symmetry_fields_pass_conformal_residual(rng):
         res = conformal_check(cat("robertson_walker", scale=scale),
                               cat("rw_conformal", scale=scale), rw_sample)
         assert res.residual < 1e-8, scale
-        assert res.psi(rw_sample[0]) == pytest.approx(rate(rw_sample[0][0]),
-                                                      abs=1e-8)
+        assert res.psi(rw_sample) == pytest.approx([rate(p[0]) for p in rw_sample],
+                                                   abs=1e-8)
 
     res = conformal_check(cat("ppwave"), cat("ppwave_null_killing"),
                           mink_sample)
     assert res.residual < 1e-8
-    assert res.psi(mink_sample[0]) == pytest.approx(0.0, abs=1e-12)
+    assert res.psi(mink_sample) == pytest.approx(np.zeros(10), abs=1e-12)
 
 
 def test_parameters_change_the_geometry():

@@ -125,6 +125,89 @@ def test_classify_rejects_unused_options(capsys):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("eq3", "--config", "/nonexistent.json", "--grid", "3,3"),
+    ("killing", "--fd"),
+    ("killing", "--triples", "5"),
+    ("killing", "--seed", "1"),
+    ("variation", "--fd"),
+    ("variation", "--triples", "5"),
+])
+def test_verify_rejects_unused_options(capsys, argv):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", *argv])
+    capsys.readouterr()
+
+
+def test_verify_writes_config_outputs(tmp_path, capsys):
+    json_path, text_path = tmp_path / "killing.json", tmp_path / "killing.txt"
+    cfg = {
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+        "grid": {"points_per_axis": [4, 6]},
+        "outputs": [{"format": "json", "path": str(json_path)},
+                    {"format": "text", "path": str(text_path)}],
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "verify", "killing", "--config", str(path))
+    assert code == 0
+    report = json.loads(json_path.read_text())
+    assert report["kind"] == "killing" and report["passed"] is True
+    assert "seed" not in report
+    assert text_path.read_text() == out
+
+
+def _inline_sphere_config():
+    return {
+        "schema_version": 1,
+        "metric": {"inline": {
+            "coordinates": ["t", "x", "y", "z"],
+            "components": [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
+                           ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            "time_orientation": ["1", "0", "0", "0"],
+        }},
+        "embedding": {"inline": {
+            "parameters": ["u1", "u2"],
+            "map": ["0", "R*sin(u1)*cos(u2)", "R*sin(u1)*sin(u2)", "R*cos(u1)"],
+            "domain": [[0.0, 3.14159], [0.0, 6.28318]],
+            "constants": {"R": 2.0},
+        }},
+    }
+
+
+def _non_number_constant(cfg):
+    cfg["embedding"]["inline"]["constants"] = {"R": "abc"}
+
+
+def _no_components(cfg):
+    del cfg["metric"]["inline"]["components"]
+
+
+def _asymmetric_metric(cfg):
+    cfg["metric"]["inline"]["components"][0][1] = "x"
+
+
+def _short_domain(cfg):
+    del cfg["embedding"]["inline"]["domain"][1]
+
+
+@pytest.mark.parametrize("mutate", [_non_number_constant, _no_components,
+                                    _asymmetric_metric, _short_domain])
+def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
+    cfg = _inline_sphere_config()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 0
+    mutate(cfg)
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 64
+    assert json.loads(err)["error"]["type"] in ("ConfigError", "InvalidExpression")
+
+
 def test_classify_metric_must_be_the_embeddings_own(capsys):
     # r = 3 lies inside the horizon of M = 2, but ef_sphere carries M = 1
     code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",

@@ -98,7 +98,7 @@ def test_second_fundamental_form_and_trace(rng):
 def test_non_normal_vector_rejected(rng):
     sphere = cat("round_sphere")
     u = sphere.random_parameter_point(rng)
-    tangent = sphere.frame_at(u)[:, 1]
+    tangent = sphere.induced(u).frame[:, 1]
     with pytest.raises(NotNormal):
         expansion(sphere, u, tangent)
     with pytest.raises(NotNormal):

@@ -1,6 +1,7 @@
 """The batched grid kernel against its N = 1 view, node by node."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from trapsurf import catalog
 from trapsurf.embedding import embedding_from_expressions
 from trapsurf.errors import NotSpacelike, PointOutsideChart
+from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (classify_point, classify_submanifold, extrinsic_block,
                                 extrinsic_data)
 from trapsurf.quadrature import GridSpec, grid_nodes
+from trapsurf.variation import FlowSpec, flow_volume_oracle
 
 from conftest import cat
 
@@ -88,3 +91,29 @@ def test_batched_errors_name_the_first_failing_node():
     first = _first_failing_node(plane, grid, lambda u: u[:, 0] >= 0.0)
     with pytest.raises(PointOutsideChart, match=_printed(plane.point(first))):
         plane.volume(grid, allow_boundary=True)
+
+
+def _blocks_only(fn):
+    @blockwise
+    def checked(x):
+        assert np.ndim(x) == 2, np.shape(x)
+        return fn(x)
+
+    return checked
+
+
+def test_callables_only_ever_see_blocks():
+    sphere, xi = cat("round_sphere"), cat("dilation")
+    mink = sphere.ambient
+    metric = replace(mink, components=_blocks_only(mink.components))
+    emb = replace(sphere, ambient=metric, chart_map=_blocks_only(sphere.chart_map))
+    field = replace(xi, value=_blocks_only(xi.value))
+    u, p = np.array([1.1, 0.4]), np.array([0.5, 1.0, -2.0, 0.3])
+    assert np.array_equal(emb.point(u), sphere.point(u))
+    assert np.array_equal(field.at(p), xi.at(p))
+    assert np.array_equal(metric.at(p), mink.at(p))
+    label, expected = classify_point(emb, u), classify_point(sphere, u)
+    assert (label.causal, label.h_norm2) == (expected.causal, expected.h_norm2)
+    grid = GridSpec((4, 4))
+    assert (flow_volume_oracle(emb, FlowSpec(field, 1e-4), grid)
+            == flow_volume_oracle(sphere, FlowSpec(xi, 1e-4), grid))

@@ -5,14 +5,15 @@ import pytest
 
 from trapsurf.errors import FlowLeftChart, NotClosed, NotConformal
 from trapsurf.extrinsic import extrinsic_data
-from trapsurf.geometry import vector_field_from_expressions
+from trapsurf.expressions import blockwise
+from trapsurf.geometry import VectorField, vector_field_from_expressions
 from trapsurf.quadrature import GridSpec
 from trapsurf.sampling import random_polynomial_field
 from trapsurf.variation import (
     FlowSpec,
     conformal_check,
     first_variation_density,
-    flow_point,
+    flow_block,
     flow_volume_oracle,
     killing_integral_check,
     null_killing_constraint_check,
@@ -153,9 +154,53 @@ def test_flow_leaving_chart_is_an_error():
     inward = vector_field_from_expressions(("v", "r", "th", "ph"),
                                            ["0", "-1", "0", "0"])
     with pytest.raises(FlowLeftChart):
-        flow_point(ef.ambient, inward, ef.point([1.0, 1.0]), tau=2.0)
+        flow_block(ef.ambient, inward, ef.point_block([[1.0, 1.0]]), tau=2.0)
     with pytest.raises(FlowLeftChart):
         flow_volume_oracle(ef, FlowSpec(inward, 2.0), GridSpec((4, 4)))
+    # the second RK4 stage, p - tau/2 e_r, leaves r > 0 at nodes 1 and 2
+    points = np.array([[0.0, r, 1.0, 0.0] for r in (3.0, 0.4, 0.2)])
+    stage = points + 0.5 * 1.0 * np.array([0.0, -1.0, 0.0, 0.0])
+    with pytest.raises(FlowLeftChart) as info:
+        flow_block(ef.ambient, inward, points, tau=1.0)
+    assert str(stage[1]) in str(info.value)
+    assert str(stage[2]) not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["lifted", "expression"])
+def test_flow_of_a_block_equals_flow_of_each_row(kind):
+    rng = np.random.default_rng(5)
+    mink = cat("minkowski")
+    if kind == "lifted":
+        xi = random_polynomial_field(rng, 4)
+    else:
+        xi = vector_field_from_expressions(
+            MINK_COORDS, ["1 + x*y", "sin(t) * z", "exp(-x**2)", "cos(y) / 2"])
+    points = rng.normal(size=(7, 4))
+    block = flow_block(mink, xi, points, tau=0.3, steps=3)
+    rows = [flow_block(mink, xi, row[None], tau=0.3, steps=3)[0] for row in points]
+    assert np.array_equal(block, np.array(rows))
+
+
+def test_flow_oracle_evaluates_the_field_on_blocks():
+    sphere = cat("round_sphere")
+    value = cat("dilation").value
+    shapes = []
+
+    @blockwise
+    def counted(points):
+        shapes.append(np.shape(points))
+        return value(points)
+
+    grid = GridSpec((4, 4))
+    oracle = flow_volume_oracle(sphere, FlowSpec(VectorField(value=counted), 1e-4),
+                                grid)
+    # dV/dtau = 2 V for the dilation, on the grid's own quadrature
+    assert oracle == pytest.approx(2.0 * sphere.volume(grid), rel=1e-6)
+    # each flowed surface: one block of 16 nodes and one FD stencil block of
+    # 2 * 4 * 16 = 128 points, four RK4 stages each
+    blocks = 2 * (1 + 1)
+    assert len(shapes) <= 4 * blocks
+    assert all(len(shape) == 2 for shape in shapes)
 
 
 def test_conformal_check():
@@ -165,18 +210,18 @@ def test_conformal_check():
 
     res = conformal_check(mink, cat("dilation"), sample)
     assert res.accepted and res.residual < 1e-12
-    assert res.psi(sample[0]) == pytest.approx(1.0, abs=1e-12)
+    assert res.psi(sample) == pytest.approx(np.ones(8), abs=1e-12)
 
     res = conformal_check(mink, cat("time_translation"), sample)
     assert res.accepted
-    assert res.psi(sample[0]) == pytest.approx(0.0, abs=1e-12)
+    assert res.psi(sample) == pytest.approx(np.zeros(8), abs=1e-12)
 
     rw = cat("robertson_walker", scale="t")
     rw_sample = [np.array([1.0 + 2.0 * rng.random(), *rng.normal(size=3)])
                  for _ in range(8)]
     res = conformal_check(rw, cat("rw_conformal", scale="t"), rw_sample)
     assert res.accepted
-    assert res.psi(rw_sample[0]) == pytest.approx(1.0, abs=1e-10)
+    assert res.psi(rw_sample) == pytest.approx(np.ones(8), abs=1e-10)
 
     shear = vector_field_from_expressions(MINK_COORDS, ["0", "x**2", "0", "0"])
     res = conformal_check(mink, shear, sample)
@@ -257,7 +302,7 @@ def test_tangential_part_is_the_induced_connection(rng):
         th = u[0]
         data = sphere.induced(u)
         gam = sphere.ambient.christoffel_at(data.p)
-        grad = sphere.second_frame_at(u) + np.einsum(
+        grad = sphere.second_frame_block(u[None])[0] + np.einsum(
             "mrs,ra,sb->mab", gam, data.frame, data.frame)
         g = sphere.ambient.at(data.p)
         coeffs = np.einsum("cd,md,mab->cab", data.gamma_inv,
