@@ -53,8 +53,6 @@ def write_outputs(report_dict, csv_rows, json_paths, csv_paths, text_paths,
         with open(path, "w") as handle:
             handle.write(dump_json(report_dict))
     for path in csv_paths:
-        if csv_rows is None:
-            raise ConfigError("this command produces no CSV output")
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows(csv_rows)
     for path in text_paths:
@@ -299,11 +297,13 @@ def _verify_variation(args, config):
 
 def cmd_verify(args):
     config = load_config(args.config) if getattr(args, "config", None) else None
+    outputs = config.outputs if config else ()
+    if any(o["format"] == "csv" for o in outputs):
+        raise ConfigError("verify produces no CSV output")
     runner = {"eq3": _verify_eq3, "killing": _verify_killing,
               "variation": _verify_variation}[args.check]
     report, text, code = runner(args, config)
     print(text, end="")
-    outputs = config.outputs if config else ()
     write_outputs(report, None, *_collect_output_paths(outputs, args), text_body=text)
     return code
 

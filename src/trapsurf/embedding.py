@@ -73,9 +73,10 @@ class Embedding:
     param_domain: tuple = None
     periodic: tuple = None
     closed: bool = False
-    pole_margin: float = POLE_MARGIN
     param_names: tuple = None
     name: str = ""
+
+    pole_margin = POLE_MARGIN   # relative pad of sample_box at non-periodic ends
 
     def __post_init__(self):
         if not 1 <= self.dim <= self.ambient.dim - 1:

@@ -96,16 +96,6 @@ def _parse(text, symbols, bound):
     return expr
 
 
-def parse_expression(text, symbols, constants=None):
-    """Parse one expression string into a sympy expression.
-
-    `symbols` maps coordinate/parameter names to sympy Symbols; `constants`
-    maps names to numeric values which are substituted immediately.
-    """
-    bound = {k: sp.Float(v) for k, v in dict(constants or {}).items()}
-    return _parse(text, symbols, bound)
-
-
 def make_symbols(names):
     return {name: sp.Symbol(name, real=True) for name in names}
 

@@ -68,39 +68,34 @@ def extrinsic_data(E: Embedding, u) -> ExtrinsicData:
     return extrinsic_block(E, as_point(u)[None]).node(0)
 
 
-def _check_normal(E, data, n, tol):
+def _check_normal(E, data, n):
     n = np.asarray(n, dtype=float)
     absg = data.absg
     n_ref = np.sqrt(max(float(n @ absg @ n), 0.0))
     for a in range(E.dim):
         e_ref = np.sqrt(max(float(data.frame[:, a] @ absg @ data.frame[:, a]), 0.0))
-        if abs(float(n @ data.g @ data.frame[:, a])) > tol * (1.0 + n_ref * e_ref):
-            raise NotNormal(
-                f"vector {n} is not normal to {E.name!r} at u={data.u}"
-            )
+        if abs(float(n @ data.g @ data.frame[:, a])) > NORMAL_TOL * (1.0 + n_ref * e_ref):
+            raise NotNormal(f"vector {n} is not normal to {E.name!r} at u={data.u}")
     return n
 
 
-def second_fundamental_form(E: Embedding, u, n, tol=NORMAL_TOL):
+def second_fundamental_form(E: Embedding, u, n):
     """(K_n)_{ab} = g(n, K(e_a, e_b)) for a normal vector n."""
     ext = extrinsic_data(E, u)
-    n = _check_normal(E, ext.base, n, tol)
+    n = _check_normal(E, ext.base, n)
     return np.einsum("m,mn,nab->ab", n, ext.base.g, ext.shape)
 
 
-def expansion(E: Embedding, u, n, tol=NORMAL_TOL):
+def expansion(E: Embedding, u, n):
     """g(H, n), the expansion along the normal n."""
     ext = extrinsic_data(E, u)
-    n = _check_normal(E, ext.base, n, tol)
+    n = _check_normal(E, ext.base, n)
     return float(ext.mean_curvature @ ext.base.g @ n)
 
 
-def normal_space_basis(E: Embedding, u, data=None):
-    """Orthocomplement basis: columns span the normal space at Phi(u).
-
-    With block `data` the result is a block of bases (N, D, D - d)."""
-    if data is None:
-        data = E.induced(u)
+def normal_space_basis(E: Embedding, data):
+    """Columns spanning the normal space of induced `data`: (D, D - d) at
+    one point, (N, D, D - d) for a block."""
     a_mat = np.swapaxes(data.frame, -1, -2) @ data.g  # (d, D); kernel = normal space
     _, _, vt = np.linalg.svd(a_mat)
     return np.swapaxes(vt[..., E.dim:, :], -1, -2)
@@ -120,7 +115,7 @@ def null_normal_pair(E: Embedding, u, outward):
     if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
         raise NotSpacelike(f"{E.name!r} not spacelike at u={u}")
     g = data.g
-    basis = normal_space_basis(E, u, data=data)
+    basis = normal_space_basis(E, data)
     h = basis.T @ g @ basis  # 2x2 normal metric, Lorentzian
     w, v = np.linalg.eigh(h)
     if not (w[0] < 0.0 < w[1]):
@@ -168,7 +163,7 @@ def _classify_block(E: Embedding, us, tol):
     theta = [None] * len(h_vec)
     timelike_normal = None
     if E.codim == 1:
-        n = normal_space_basis(E, data.u, data=data)[:, :, 0]
+        n = normal_space_basis(E, data)[:, :, 0]
         n2 = np.einsum("km,kmn,kn->k", n, g, n)
         timelike_normal = n2 < 0.0
         n = n / np.sqrt(np.abs(n2))[:, None]
@@ -186,13 +181,13 @@ def _classify_block(E: Embedding, us, tol):
     return labels, timelike_normal
 
 
-def classify_point(E: Embedding, u, tol=NULL_BAND_TOL) -> PointLabel:
+def classify_point(E: Embedding, u) -> PointLabel:
     """Causal character of the mean curvature vector at one point.
 
     Requires the submanifold to be spacelike at u (gamma positive
     definite) and a Lorentzian ambient with a time orientation.
     """
-    labels, _ = _classify_block(E, as_point(u)[None], tol)
+    labels, _ = _classify_block(E, as_point(u)[None], NULL_BAND_TOL)
     return labels[0]
 
 

@@ -5,13 +5,13 @@ Points are 1-d coordinate arrays; callables only see blocks (N, n) of them.
 All objects are immutable; every operation is a pure function of its inputs.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import expressions, findiff
-from .errors import DegenerateMetric, DerivativeFailure, PointOutsideChart
+from .errors import DegenerateMetric, PointOutsideChart
 
 DEGENERACY_TOL = 1e-12
 NULL_BAND_TOL = 1e-9
@@ -122,9 +122,6 @@ class VectorField:
     def jacobian_at(self, p):
         return self.jacobian_block(as_point(p)[None])[0]
 
-    def without_analytic_derivatives(self):
-        return replace(self, jacobian=None)
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -147,7 +144,6 @@ class MetricField:
     signature: tuple = None
     coordinates: tuple = None
     name: str = ""
-    degeneracy_tol: float = DEGENERACY_TOL
 
     def __post_init__(self):
         if self.dim < 2:
@@ -184,7 +180,7 @@ class MetricField:
         g = 0.5 * (g + np.swapaxes(g, -1, -2))  # exact symmetry by construction
         scale = np.prod(np.maximum(np.abs(g).max(axis=-1), np.finfo(float).tiny),
                         axis=-1)
-        raise_first(np.abs(np.linalg.det(g)) < self.degeneracy_tol * scale,
+        raise_first(np.abs(np.linalg.det(g)) < DEGENERACY_TOL * scale,
                     DegenerateMetric, lambda i: (
                         f"metric {self.name!r} degenerate at {points[i]} "
                         "(|det| below tolerance)"))
@@ -234,15 +230,6 @@ class MetricField:
         """The declared future-pointing vector T^mu at p."""
         return self.future_block(as_point(p)[None])[0]
 
-    def causal_character(self, v, p, tol=NULL_BAND_TOL):
-        """Classify a vector at p as (Causal, TimeOrientation); see causal_label."""
-        p = as_point(p)
-        t_vec = self.future_vector(p)
-        g = self.at(p)
-        causal, time = causal_label(np.asarray(v, dtype=float)[None], g[None],
-                                    absolute_metric(g)[None], t_vec[None], tol=tol)
-        return causal[0], time[0]
-
     def lie_derivative_block(self, xi: VectorField, points, g=None):
         """(Lie_xi g)_{mu nu} at each point of a block; `g` as in
         christoffel_block."""
@@ -255,10 +242,6 @@ class MetricField:
         term0 = np.einsum("kr,krmn->kmn", xi_val, dg)
         term1 = np.einsum("krn,krm->kmn", g, jac)
         return term0 + term1 + np.swapaxes(term1, -1, -2)
-
-    def lie_derivative(self, xi: VectorField, p):
-        """(Lie_xi g)_{mu nu} at p."""
-        return self.lie_derivative_block(xi, as_point(p)[None])[0]
 
     def without_analytic_derivatives(self):
         return replace(self, derivatives=None)

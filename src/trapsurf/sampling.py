@@ -5,29 +5,30 @@ Generator so runs are reproducible.
 
 import numpy as np
 
+from .expressions import blockwise
 from .geometry import VectorField
 
 
-def random_polynomial_field(rng, dim, degree=2, scale=0.5, name="random-poly"):
-    """Random vector field with polynomial components of the given degree.
+def random_polynomial_field(rng, dim):
+    """Random quadratic vector field, coefficients of scale 0.5.
 
     Components are xi^mu = c0 + c1 . x + x . c2 . x with an analytic
-    jacobian, so the field is exact for derivative-sensitive checks.
+    jacobian, so the field is exact for derivative-sensitive checks.  Both
+    callables evaluate a block of points (N, dim) in one call.
     """
-    c0 = scale * rng.standard_normal(dim)
-    c1 = scale * rng.standard_normal((dim, dim)) if degree >= 1 else np.zeros((dim, dim))
-    if degree >= 2:
-        c2 = scale * rng.standard_normal((dim, dim, dim))
-        c2 = 0.5 * (c2 + c2.transpose(0, 2, 1))
-    else:
-        c2 = np.zeros((dim, dim, dim))
+    c0 = 0.5 * rng.standard_normal(dim)
+    c1 = 0.5 * rng.standard_normal((dim, dim))
+    c2 = 0.5 * rng.standard_normal((dim, dim, dim))
+    c2 = 0.5 * (c2 + c2.transpose(0, 2, 1))
 
+    @blockwise
     def value(x):
-        x = np.asarray(x, dtype=float)
-        return c0 + c1 @ x + np.einsum("mnr,n,r->m", c2, x, x)
+        # a stacked matvec rounds like c1 @ x at one point; an einsum may not
+        return (c0 + (c1 @ x[:, :, None])[:, :, 0]
+                + np.einsum("mnr,kn,kr->km", c2, x, x))
 
+    @blockwise
     def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        return c1 + 2.0 * np.einsum("mnr,r->mn", c2, x)
+        return c1 + 2.0 * np.einsum("mnr,kr->kmn", c2, x)
 
-    return VectorField(value=value, jacobian=jacobian, name=name)
+    return VectorField(value=value, jacobian=jacobian, name="random-poly")

@@ -12,7 +12,7 @@ from . import expressions, findiff, quadrature
 from .embedding import Embedding
 from .errors import FlowLeftChart, NotClosed, NotConformal, PointOutsideChart
 from .extrinsic import extrinsic_block, extrinsic_data
-from .geometry import MetricField, VectorField, as_point
+from .geometry import MetricField, VectorField
 from .quadrature import GridSpec
 
 CONFORMAL_TOL = 1e-8
@@ -20,34 +20,30 @@ CONFORMAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Flow-transport control for the volume-variation oracle."""
+    """The volume-variation oracle's field and the time of its RK4 step."""
 
     field: VectorField
     tau_step: float
-    steps: int = 1
 
     def __post_init__(self):
-        if self.tau_step <= 0.0 or self.steps < 1:
-            raise ValueError("need tau_step > 0 and steps >= 1")
-
-    @property
-    def tau(self):
-        return self.tau_step * self.steps
+        if self.tau_step <= 0.0:
+            raise ValueError("need tau_step > 0")
 
 
 def first_variation_density(E: Embedding, xi: VectorField, u):
     """(1/2) tr_gamma of the pullback of Lie_xi g: the logarithmic rate of
     change of the induced volume element along the flow of xi."""
     data = E.induced(u)
-    lie = E.ambient.lie_derivative(xi, data.p)
+    lie = E.ambient.lie_derivative_block(xi, data.p[None], g=data.g[None])[0]
     pulled = data.frame.T @ lie @ data.frame
     return 0.5 * float(np.einsum("ab,ab->", data.gamma_inv, pulled))
 
 
 def _surface_divergence_block(E: Embedding, xi: VectorField, us, vol_density):
-    """surface_divergence at a block of parameter points, whose volume
-    densities are `vol_density`: the stencil of every node is evaluated as
-    blocks of shifted parameter points."""
+    """div of the tangential pullback, (1/sqrt g) d_a (sqrt g bar-xi^a), at a
+    block of parameter points whose volume densities are `vol_density`, by
+    finite differences in parameter space (no second derivatives of the
+    induced metric); every node's stencil is evaluated in blocks."""
 
     def density_flux(x):
         data = E.induced_block(x)
@@ -57,17 +53,6 @@ def _surface_divergence_block(E: Embedding, xi: VectorField, us, vol_density):
 
     flux_gradient = findiff.gradient(density_flux, us)
     return np.trace(flux_gradient, axis1=1, axis2=2) / vol_density
-
-
-def surface_divergence(E: Embedding, xi: VectorField, u):
-    """div of the tangential pullback, via (1/sqrt g) d_a (sqrt g bar-xi^a).
-
-    Evaluated by finite differences in parameter space; this avoids
-    second derivatives of the induced metric.
-    """
-    u = as_point(u)
-    return float(_surface_divergence_block(E, xi, u[None],
-                                           E.induced(u).vol_density)[0])
 
 
 def rhs_identity(E: Embedding, xi: VectorField, u):
@@ -126,10 +111,11 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
     )
 
 
-def flow_block(metric: MetricField, xi: VectorField, points, tau, steps=1):
+def flow_block(metric: MetricField, xi: VectorField, points, tau):
     """Transport each point of a block (N, D) along the flow of xi to
-    parameter time tau (RK4).  Every stage point and end point must lie in
-    the metric's chart; FlowLeftChart names the first one that does not."""
+    parameter time tau with one RK4 step.  Every stage point and end point
+    must lie in the metric's chart; FlowLeftChart names the first one that
+    does not."""
 
     def inside(x):
         try:
@@ -141,17 +127,14 @@ def flow_block(metric: MetricField, xi: VectorField, points, tau, steps=1):
         return xi.value_block(inside(x))
 
     p = np.asarray(points, dtype=float)
-    h = tau / steps
-    for _ in range(steps):
-        k1 = rate(p)
-        k2 = rate(p + 0.5 * h * k1)
-        k3 = rate(p + 0.5 * h * k2)
-        k4 = rate(p + h * k3)
-        p = inside(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return p
+    k1 = rate(p)
+    k2 = rate(p + 0.5 * tau * k1)
+    k3 = rate(p + 0.5 * tau * k2)
+    k4 = rate(p + tau * k3)
+    return inside(p + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def flowed_embedding(E: Embedding, xi: VectorField, tau, steps=1):
+def flowed_embedding(E: Embedding, xi: VectorField, tau):
     """The embedding of the flowed submanifold S_tau = phi_tau(S).
 
     The composed map is differentiated numerically; no analytic jacobian
@@ -160,7 +143,7 @@ def flowed_embedding(E: Embedding, xi: VectorField, tau, steps=1):
 
     @expressions.blockwise
     def moved(us):
-        return flow_block(E.ambient, xi, E.point_block(us), tau, steps=steps)
+        return flow_block(E.ambient, xi, E.point_block(us), tau)
 
     return Embedding(
         ambient=E.ambient,
@@ -169,7 +152,6 @@ def flowed_embedding(E: Embedding, xi: VectorField, tau, steps=1):
         param_domain=E.param_domain,
         periodic=E.periodic,
         closed=E.closed,
-        pole_margin=E.pole_margin,
         param_names=E.param_names,
         name=f"{E.name}@tau={tau:g}",
     )
@@ -178,11 +160,11 @@ def flowed_embedding(E: Embedding, xi: VectorField, tau, steps=1):
 def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
                        allow_boundary=False):
     """Central-difference dV/dtau from volumes of the flowed submanifolds."""
-    tau = flow.tau
-    v_plus = flowed_embedding(E, flow.field, +tau, steps=flow.steps).volume(
+    tau = flow.tau_step
+    v_plus = flowed_embedding(E, flow.field, +tau).volume(
         grid, allow_boundary=allow_boundary
     )
-    v_minus = flowed_embedding(E, flow.field, -tau, steps=flow.steps).volume(
+    v_minus = flowed_embedding(E, flow.field, -tau).volume(
         grid, allow_boundary=allow_boundary
     )
     return (v_plus - v_minus) / (2.0 * tau)
@@ -194,18 +176,13 @@ class ConformalData:
 
     psi: object            # callable on blocks of points (N, D) -> Psi (N,)
     residual: float
-    tolerance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", expressions.lift(self.psi))
 
     @property
     def accepted(self):
-        return self.residual < self.tolerance
+        return self.residual < CONFORMAL_TOL
 
 
-def conformal_check(metric: MetricField, xi: VectorField, sample_points,
-                    tol=CONFORMAL_TOL):
+def conformal_check(metric: MetricField, xi: VectorField, sample_points):
     """Extract Psi = tr(Lie_xi g) / (2 D) and measure the conformal residual."""
     dim = metric.dim
 
@@ -221,7 +198,7 @@ def conformal_check(metric: MetricField, xi: VectorField, sample_points,
     values, lie, g = psi_and_lie(np.asarray(sample_points, dtype=float))
     dev = lie - (2.0 * values)[:, None, None] * g
     residual = float(np.abs(dev).max(initial=0.0))
-    return ConformalData(psi=psi, residual=residual, tolerance=tol)
+    return ConformalData(psi=psi, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -235,9 +212,7 @@ class KillingIntegralResult:
     notes: tuple = ()
 
 
-def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
-                           conformal: ConformalData = None,
-                           tol=CONFORMAL_TOL):
+def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec):
     """Verify int_S Psi = (1/d) int_S g(xi, H) for a conformal Killing xi.
 
     Also evaluates the sign obstruction: when Psi has a uniform sign on
@@ -247,13 +222,12 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
     if not E.closed:
         raise NotClosed("the integral identity requires a closed submanifold")
     points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    if conformal is None:
-        sample = E.point_block(points[:: max(1, len(points) // 16)])
-        conformal = conformal_check(E.ambient, xi, sample, tol=tol)
+    sample = E.point_block(points[:: max(1, len(points) // 16)])
+    conformal = conformal_check(E.ambient, xi, sample)
     if not conformal.accepted:
         raise NotConformal(
             f"field {xi.name!r} fails the conformal residual test: "
-            f"{conformal.residual:.3e} >= {conformal.tolerance:.3e}"
+            f"{conformal.residual:.3e} >= {CONFORMAL_TOL:.3e}"
         )
 
     def terms(block):
@@ -266,7 +240,7 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
     rhs = flux / E.dim
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
 
-    band = conformal.tolerance * (1.0 + float(np.abs(psi_vals).max(initial=0.0)))
+    band = CONFORMAL_TOL * (1.0 + float(np.abs(psi_vals).max(initial=0.0)))
     if np.all(psi_vals > band):
         psi_sign = "positive"
     elif np.all(psi_vals < -band):
@@ -275,7 +249,7 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec,
         psi_sign = "zero"
     else:
         psi_sign = "mixed"
-    quad_band = conformal.tolerance * (1.0 + float(np.abs(flux_vals).max(initial=0.0)))
+    quad_band = CONFORMAL_TOL * (1.0 + float(np.abs(flux_vals).max(initial=0.0)))
     notes = []
     if psi_sign == "positive":
         obstruction_ok = flux > quad_band

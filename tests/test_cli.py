@@ -159,6 +159,26 @@ def test_verify_writes_config_outputs(tmp_path, capsys):
     assert text_path.read_text() == out
 
 
+def test_verify_rejects_a_csv_output_before_the_run(tmp_path, capsys):
+    json_path = tmp_path / "killing.json"
+    cfg = {
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+        "grid": {"points_per_axis": [4, 6]},
+        "outputs": [{"format": "json", "path": str(json_path)},
+                    {"format": "csv", "path": str(tmp_path / "killing.csv")}],
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "verify", "killing", "--config", str(path))
+    assert code == 64
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+    # the check never ran, so no passing report was printed or written
+    assert out == ""
+    assert not json_path.exists()
+
+
 def _inline_sphere_config():
     return {
         "schema_version": 1,

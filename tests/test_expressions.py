@@ -4,52 +4,54 @@ import pytest
 import sympy as sp
 
 from trapsurf.errors import InvalidExpression
-from trapsurf.expressions import (
-    make_symbols,
-    parse_expression,
-    template,
-)
+from trapsurf.expressions import make_symbols, template
+
+NAMES = ("r", "th")
 
 
 @pytest.fixture
 def syms():
-    return make_symbols(("r", "th"))
+    return make_symbols(NAMES)
+
+
+def parse(text, constants=None):
+    """The one parsed expression of a single-text template."""
+    return template(NAMES, [text], constants).exprs[0]
 
 
 def test_parse_basic(syms):
-    compiled = template(("r", "th"), ["r**2 * sin(th)**2"])
-    assert compiled.exprs[0] == parse_expression("r**2 * sin(th)**2", syms)
+    compiled = template(NAMES, ["r**2 * sin(th)**2"])
+    assert compiled.exprs[0] == syms["r"] ** 2 * sp.sin(syms["th"]) ** 2
     fn, = compiled.bind()
     assert fn([2.0, math.pi / 2])[0] == pytest.approx(4.0)
 
 
 def test_caret_is_power(syms):
-    assert parse_expression("r^2", syms) == syms["r"] ** 2
+    assert parse("r^2") == syms["r"] ** 2
 
 
 def test_pi_and_rationals(syms):
-    expr = parse_expression("pi * r / 2", syms)
-    assert expr == sp.pi * syms["r"] / 2
+    assert parse("pi * r / 2") == sp.pi * syms["r"] / 2
 
 
-def test_constants_are_substituted(syms):
-    expr = parse_expression("M / r", syms, constants={"M": 3.0})
-    assert float(expr.subs(syms["r"], 2.0)) == pytest.approx(1.5)
+def test_constants_are_substituted():
+    fn, = template(NAMES, ["M / r"], {"M": 3.0}).bind({"M": 3.0})
+    assert fn([[2.0, 0.0]])[0, 0] == pytest.approx(1.5)
 
 
-def test_unknown_symbol_rejected(syms):
+def test_unknown_symbol_rejected():
     with pytest.raises(InvalidExpression):
-        parse_expression("r + q", syms)
+        parse("r + q")
 
 
-def test_unknown_function_rejected(syms):
+def test_unknown_function_rejected():
     with pytest.raises(InvalidExpression):
-        parse_expression("tan(th)", syms)
+        parse("tan(th)")
 
 
-def test_keywords_rejected(syms):
+def test_keywords_rejected():
     with pytest.raises(InvalidExpression):
-        parse_expression("lambda r", syms)
+        parse("lambda r")
 
 
 @pytest.mark.parametrize("bad", [
@@ -63,13 +65,13 @@ def test_keywords_rejected(syms):
     "r; th",
     'getattr(r, "conjugate")',
 ])
-def test_injection_attempts_rejected(syms, bad):
+def test_injection_attempts_rejected(bad):
     with pytest.raises(InvalidExpression):
-        parse_expression(bad, syms)
+        parse(bad)
 
 
 def test_parse_matrix_shape(syms):
-    compiled = template(("r", "th"), [["r", "0"], ["0", "sin(th)"]])
+    compiled = template(NAMES, [["r", "0"], ["0", "sin(th)"]])
     rows = compiled.exprs
     assert compiled.shape == (2, 2)
     assert len(rows) == 2 and len(rows[0]) == 2

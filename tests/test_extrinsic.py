@@ -136,7 +136,7 @@ def test_normal_space_basis_spans_orthocomplement(rng):
     emb = cat("ef_sphere")
     u = emb.random_parameter_point(rng)
     data = emb.induced(u)
-    basis = normal_space_basis(emb, u, data=data)
+    basis = normal_space_basis(emb, data)
     assert basis.shape == (4, 2)
     g = emb.ambient.at(data.p)
     for k in range(2):

@@ -12,8 +12,10 @@ from trapsurf.errors import NotSpacelike, PointOutsideChart
 from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (classify_point, classify_submanifold, extrinsic_block,
                                 extrinsic_data)
+from trapsurf.geometry import MetricField, VectorField
 from trapsurf.quadrature import GridSpec, grid_nodes
-from trapsurf.variation import FlowSpec, flow_volume_oracle
+from trapsurf.sampling import random_polynomial_field
+from trapsurf.variation import FlowSpec, conformal_check, flow_volume_oracle, flowed_embedding
 
 from conftest import cat
 
@@ -117,3 +119,29 @@ def test_callables_only_ever_see_blocks():
     grid = GridSpec((4, 4))
     assert (flow_volume_oracle(emb, FlowSpec(field, 1e-4), grid)
             == flow_volume_oracle(sphere, FlowSpec(xi, 1e-4), grid))
+
+
+CALLABLES = {MetricField: ("components", "derivatives", "time_orientation", "chart_domain"),
+             VectorField: ("value", "jacobian")}
+
+
+def _lifted(obj):
+    """The names of obj's callables (and its ambient's) that go through lift."""
+    names = CALLABLES.get(type(obj), ("chart_map", "jacobian", "hessian"))
+    found = [name for name in names if getattr(obj, name) is not None
+             and getattr(obj, name).__qualname__.startswith("lift.")]
+    if hasattr(obj, "ambient"):
+        found += [f"ambient.{name}" for name in _lifted(obj.ambient)]
+    return found
+
+
+def test_library_objects_are_natively_blockwise():
+    objects = [catalog.instantiate(e.name) for e in catalog.list_entries()
+               if e.builder is not None]
+    xi = random_polynomial_field(np.random.default_rng(0), 4)
+    sphere = cat("round_sphere")
+    objects += [xi, flowed_embedding(sphere, xi, 1e-4)]
+    for obj in objects:
+        assert _lifted(obj) == [], obj.name
+    psi = conformal_check(sphere.ambient, cat("dilation"), np.ones((1, 4))).psi
+    assert not psi.__qualname__.startswith("lift.")
