@@ -249,6 +249,8 @@ def _verify_killing(args, config):
 
 
 def _verify_variation(args, config):
+    if not (np.isfinite(args.tau) and args.tau > 0.0):
+        raise ConfigError(f"--tau must be a finite number > 0, got {args.tau!r}")
     rng = np.random.default_rng(args.seed)
     config_grid = config.grid if config else None
     if config is not None:

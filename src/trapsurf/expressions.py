@@ -10,29 +10,28 @@ The unit of compilation is a template: the texts, the symbol names and the
 names of the constants.  A template is parsed, differentiated and
 lambdified once per process, with each constant as an argument, so objects
 that differ only in their constants' values share one compiled template.
+
+The catalog's templates are compiled ahead of time: the generated module
+`_compiled` holds the numpy source that lambdify emits for each of them, and
+a template found there is bound without importing sympy.  Sympy is imported
+only for inline and user expressions.  `python -m trapsurf.expressions`
+regenerates `_compiled.py` from every catalog entry.
 """
 
 import functools
 import io
 import keyword
+import math
 import re
 import tokenize
 
 import numpy as np
-import sympy as sp
 
+from . import _compiled
 from .errors import InvalidExpression
 
-ALLOWED_FUNCTIONS = {
-    "exp": sp.exp,
-    "log": sp.log,
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "sinh": sp.sinh,
-    "cosh": sp.cosh,
-    "sqrt": sp.sqrt,
-    "pow": sp.Pow,
-}
+# the grammar's functions; `_parse` maps each to its sympy function
+ALLOWED_FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt", "pow")
 
 _ALLOWED_CHARS = re.compile(r"^[A-Za-z0-9_+\-*/^().,\s]*$")
 _ALLOWED_OPS = {"+", "-", "*", "/", "**", "^", "(", ")", ","}
@@ -73,10 +72,13 @@ def _check_tokens(text, names):
 def _parse(text, symbols, bound):
     """Parse `text` in the coordinate `symbols` and the `bound` constants
     (name -> sympy number or symbol); a bound name shadows a coordinate."""
+    import sympy as sp
+
     local = dict(symbols)
     local.update(bound)
     _check_tokens(str(text), set(local))
-    local.update(ALLOWED_FUNCTIONS)
+    local.update({name: getattr(sp, name) for name in ALLOWED_FUNCTIONS if name != "pow"})
+    local["pow"] = sp.Pow
     local["pi"] = sp.pi
     source = str(text).replace("^", "**")
     try:
@@ -97,6 +99,8 @@ def _parse(text, symbols, bound):
 
 
 def make_symbols(names):
+    import sympy as sp
+
     return {name: sp.Symbol(name, real=True) for name in names}
 
 
@@ -133,29 +137,23 @@ def _shape(nested):
     return (len(nested),) + (shapes.pop() if shapes else ())
 
 
-class _Lambdified:
-    """A nested list of expressions lambdified once, in the coordinates
-    followed by the constants; `bind` fixes the constants' values."""
+def _bind(fn, shape, values):
+    """A blockwise x -> ndarray: a block (N, n) gives (N, *shape) from one
+    call of `fn`, which takes the coordinates followed by the constants'
+    `values` and returns the flat list of entries.  Constant entries, which
+    numpy evaluates to scalars, are broadcast."""
+    size = math.prod(shape)
 
-    def __init__(self, exprs, syms):
-        self.shape = _shape(exprs)
-        self.entries = sp.flatten(exprs)
-        self.fn = sp.lambdify(syms, self.entries, modules="numpy")
+    def wrapped(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"expected a block of points (N, n), got shape {x.shape}")
+        out = np.empty((len(x), size))
+        for k, value in enumerate(fn(*x.T, *values)):
+            out[:, k] = value
+        return out.reshape((len(x),) + shape)
 
-    def bind(self, values):
-        """A blockwise x -> ndarray: one point x (n,) gives an array of the
-        expressions' shape, a block (N, n) gives (N, *shape) from one call.
-        Constant entries, which numpy evaluates to scalars, are broadcast."""
-        fn, size, shape = self.fn, len(self.entries), self.shape
-
-        def wrapped(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape[:-1] + (size,))
-            for k, value in enumerate(fn(*np.moveaxis(x, -1, 0), *values)):
-                out[..., k] = value
-            return out.reshape(x.shape[:-1] + shape)
-
-        return blockwise(wrapped)
+    return blockwise(wrapped)
 
 
 # Compiled templates kept per process; like BLOCK_NODES, a fixed bound.
@@ -170,6 +168,8 @@ def _map(fn, nested):
 
 def _derivatives(exprs, syms, axis_first):
     """d exprs / d s for each s in syms, on a new first or last axis."""
+    import sympy as sp
+
     if axis_first:
         return [_map(lambda e: sp.diff(e, s), exprs) for s in syms]
     return _map(lambda e: [sp.diff(e, s) for s in syms], exprs)
@@ -181,6 +181,8 @@ def _constant_symbols(names, constant_names):
     the generated code.  Plain, fixed names, not Dummies: lambdify orders
     products by symbol name, so the evaluation order (and the rounding)
     depends on the template alone."""
+    import sympy as sp
+
     taken = set(names)
     symbols = {}
     for c in constant_names:
@@ -193,15 +195,42 @@ def _constant_symbols(names, constant_names):
 
 
 class Template:
-    """Expression texts compiled once for every value of their constants.
+    """Expression arrays compiled once for every value of their constants.
+
+    `arrays` holds the (shape, fn) of the expressions and of each derivative
+    order; fn takes the coordinates followed by the constants, in the order
+    of `constant_names`, and returns the flat list of entries.  Each object
+    built from the template binds its own values.  A template of the
+    generated module `_compiled` is symmetric wherever it is square.
+    """
+
+    def __init__(self, constant_names, arrays):
+        self.constant_names = constant_names
+        self.arrays = arrays
+        self.shape = arrays[0][0]
+
+    def symmetric(self, constants):
+        """Whether a square template is symmetric at these constant values."""
+        return True
+
+    def bind(self, constants=None):
+        """Blockwise callables for the expressions and each derivative
+        order, with `constants` (name -> value) fixed."""
+        values = tuple(float(constants[c]) for c in self.constant_names)
+        return [_bind(fn, shape, values) for shape, fn in self.arrays]
+
+
+class SympyTemplate(Template):
+    """A template parsed, differentiated and lambdified with sympy.
 
     The constants are sympy symbols while parsing, differentiating and
-    lambdifying; each object built from the template binds its own values.
-    `exprs` is the parsed nested list, `constant_symbols` maps each constant
-    name to its symbol.
+    lambdifying.  `exprs` is the parsed nested list, `constant_symbols` maps
+    each constant name to its symbol.
     """
 
     def __init__(self, names, texts, constant_names, order, axis_first):
+        import sympy as sp
+
         syms = make_symbols(names)
         ordered = [syms[n] for n in names]
         self.constant_symbols = _constant_symbols(names, constant_names)
@@ -219,13 +248,16 @@ class Template:
         arrays = [self.exprs]
         for _ in range(order):
             arrays.append(_derivatives(arrays[-1], ordered, axis_first))
-        self._arrays = [_Lambdified(a, args) for a in arrays]
-        self.shape = self._arrays[0].shape
+        super().__init__(constant_names, [
+            (_shape(a), sp.lambdify(args, sp.flatten(a), modules="numpy"))
+            for a in arrays])
 
     @functools.cached_property
     def _asymmetry(self):
         """exprs[i][j] - exprs[j][i] for each i < j where the two entries
         differ for some constant values (square templates only)."""
+        import sympy as sp
+
         m = self.exprs
         diffs = []
         for i in range(len(m)):
@@ -242,18 +274,11 @@ class Template:
         The symbolic check runs once per template; only entry pairs that
         differ symbolically are checked again with the values substituted.
         """
-        values = dict(zip(self.constant_symbols.values(), self._values(constants)))
+        import sympy as sp
+
+        values = {self.constant_symbols[c]: float(constants[c])
+                  for c in self.constant_names}
         return all(sp.simplify(d.subs(values)) == 0 for d in self._asymmetry)
-
-    def _values(self, constants):
-        """The constants' values as floats, in argument order."""
-        return tuple(float(constants[c]) for c in self.constant_symbols)
-
-    def bind(self, constants=None):
-        """Blockwise callables for the expressions and each derivative
-        order, with `constants` (name -> value) fixed."""
-        values = self._values(constants)
-        return [a.bind(values) for a in self._arrays]
 
 
 def _texts(nested):
@@ -264,7 +289,10 @@ def _texts(nested):
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def _compile(names, texts, constant_names, order, axis_first):
-    return Template(names, texts, constant_names, order, axis_first)
+    arrays = _compiled.TEMPLATES.get((names, texts, constant_names, order, axis_first))
+    if arrays is not None:
+        return Template(constant_names, arrays)
+    return SympyTemplate(names, texts, constant_names, order, axis_first)
 
 
 def template(names, texts, constants=None, order=0, axis_first=False):
@@ -280,3 +308,108 @@ def template(names, texts, constants=None, order=0, axis_first=False):
     return _compile(tuple(names), _texts(texts), tuple(sorted(constants or ())),
                     order, axis_first)
 
+
+# -- the generated module ---------------------------------------------------
+
+# the numpy names generated code may use; generation fails on any other
+_GENERATED_NAMES = ("cos", "cosh", "exp", "log", "pi", "sin", "sinh", "sqrt")
+
+
+def catalog_parameter_sets():
+    """(name, params) of every instantiable catalog entry at each finite
+    choice of its texts: each Minkowski dimension and each choice-valued
+    parameter (the Robertson-Walker scale); other parameters keep their
+    defaults, since their values never enter the texts."""
+    from . import catalog
+
+    for entry in catalog.list_entries():
+        if entry.builder is None:
+            continue
+        sets = [{}]
+        for spec in entry.params:
+            if entry.name == "minkowski":
+                choices = range(math.floor(spec.lo) + 1, math.ceil(spec.hi))
+            else:
+                choices = spec.choices or ()
+            if choices:
+                sets = [{**s, spec.name: c} for s in sets for c in choices]
+        for params in sets:
+            yield entry.name, params
+
+
+def _catalog_templates():
+    """key -> SympyTemplate for every template the catalog compiles at
+    `catalog_parameter_sets`, in order of first use; the generated module
+    is never consulted."""
+    from . import catalog
+
+    global _compile
+    found = {}
+
+    def record(*key):
+        if key not in found:
+            found[key] = SympyTemplate(*key)
+        return found[key]
+
+    saved, _compile = _compile, record
+    try:
+        for name, params in catalog_parameter_sets():
+            catalog.instantiate(name, **params)
+    finally:
+        _compile = saved
+    return found
+
+
+def generate():
+    """The source of `_compiled.py`: every catalog template that is not
+    square or is symmetric for all constant values, one function per
+    derivative order (identical functions shared), and `TEMPLATES`."""
+    import ast
+    import inspect
+
+    import sympy as sp
+
+    functions = {}  # lambdify source -> generated name
+    imports = set()
+    entries = []
+    for key, tmpl in _catalog_templates().items():
+        square = len(tmpl.shape) == 2 and tmpl.shape[0] == tmpl.shape[1]
+        if square and tmpl._asymmetry:
+            continue
+        arrays = []
+        for shape, fn in tmpl.arrays:
+            source = inspect.getsource(fn)
+            tree = ast.parse(source).body[0]
+            reads = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                     - {arg.arg for arg in tree.args.args})
+            if not reads <= set(_GENERATED_NAMES):
+                raise ValueError(f"generated source uses {sorted(reads)}: {source}")
+            imports |= reads
+            name = functions.setdefault(source, f"_f{len(functions)}")
+            arrays.append(f"({shape!r}, {name})")
+        entries.append(f"    {key!r}:\n        ({', '.join(arrays)},),\n")
+    header = (
+        '"""Compiled expression templates of the catalog: generated, do not edit.\n'
+        "\n"
+        f"Generated with sympy {sp.__version__} by `python -m trapsurf.expressions`,\n"
+        "which rewrites this file.  Each function is the numpy source that\n"
+        "`sympy.lambdify` emits for one derivative order of a template.\n"
+        "`TEMPLATES` maps a template's key (names, texts, constant names, order,\n"
+        "axis_first) to the (shape, function) of each array.\n"
+        '"""\n'
+    )
+    parts = [header, "\n", f"from numpy import {', '.join(sorted(imports))}\n"]
+    for source, name in functions.items():
+        parts.append("\n\n" + source.replace("_lambdifygenerated", name, 1))
+    parts.append("\n\nTEMPLATES = {\n" + "".join(entries) + "}\n")
+    return "".join(parts)
+
+
+if __name__ == "__main__":
+    # `python -m trapsurf.expressions` rewrites _compiled.py.  The catalog
+    # compiles through the package's copy of this module, so generate with it.
+    from pathlib import Path
+
+    from trapsurf import expressions
+
+    Path(expressions._compiled.__file__).write_text(expressions.generate())

@@ -16,6 +16,8 @@ from .geometry import MetricField, VectorField
 from .quadrature import GridSpec
 
 CONFORMAL_TOL = 1e-8
+# bound of the null-Killing fit: its spacelike test and its residual
+PARALLEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -283,20 +285,18 @@ class ParallelFitResult:
     lambdas: np.ndarray
     max_residual: float
     spacelike_somewhere: bool
-    tol: float = 1e-6
 
     @property
     def parallel(self):
-        return self.max_residual < self.tol
+        return self.max_residual < PARALLEL_TOL
 
 
-def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
-                                  tol=1e-6):
+def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec):
     """Check the null-Killing constraint on a closed sample surface.
 
     Either H is spacelike somewhere on S, or H must be everywhere
     proportional to the null Killing field; lambda is fitted per point by
-    least squares over ambient components.  `tol` bounds both the
+    least squares over ambient components.  PARALLEL_TOL bounds both the
     spacelike test and the fit residual.
     """
     points, _ = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
@@ -306,7 +306,7 @@ def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
         xi_val = xi.value_block(ext.base.p)
         h_vec = ext.mean_curvature
         scale2 = np.maximum(np.einsum("km,kmn,kn->k", h_vec, ext.base.absg, h_vec), 0.0)
-        spacelike = ext.h_norm2 > tol * np.maximum(scale2, 1.0)
+        spacelike = ext.h_norm2 > PARALLEL_TOL * np.maximum(scale2, 1.0)
         denom = np.einsum("km,km->k", xi_val, xi_val)
         fitted = denom > 0.0
         lam = np.where(fitted, np.einsum("km,km->k", xi_val, h_vec)
@@ -320,5 +320,4 @@ def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec,
         lambdas=lambdas,
         max_residual=float(residuals.max(initial=0.0)),
         spacelike_somewhere=bool(spacelike.any()),
-        tol=tol,
     )

@@ -89,7 +89,7 @@ def test_time_orientations_are_timelike(rng):
         metric = cat(name)
         for _ in range(10):
             p = draw()
-            t_vec = np.asarray(metric.time_orientation(p), dtype=float)
+            t_vec = metric.time_orientation(p[None])[0]
             assert t_vec @ metric.at(p) @ t_vec < 0.0
 
 

@@ -322,6 +322,19 @@ def test_verify_variation(tmp_path, capsys):
         assert case["relative_difference"] < 1e-4
 
 
+@pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+def test_verify_variation_rejects_a_bad_tau_before_the_run(monkeypatch, capsys, tau):
+    def no_pair_runs(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(cli.variation, "volume_variation", no_pair_runs)
+    code, out, err = run(capsys, "verify", "variation", "--pairs", "1", "--tau", tau)
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert "--tau" in report["error"]["message"]
+
+
 def test_verify_variation_flow_leaves_chart(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

@@ -23,7 +23,7 @@ def test_parse_basic(syms):
     compiled = template(NAMES, ["r**2 * sin(th)**2"])
     assert compiled.exprs[0] == syms["r"] ** 2 * sp.sin(syms["th"]) ** 2
     fn, = compiled.bind()
-    assert fn([2.0, math.pi / 2])[0] == pytest.approx(4.0)
+    assert fn([[2.0, math.pi / 2]])[0, 0] == pytest.approx(4.0)
 
 
 def test_caret_is_power(syms):

@@ -151,7 +151,7 @@ def test_null_normal_pair_expansions():
     horizon = cat("ef_sphere", radius=2.0)
     lp, lm = null_normal_pair(horizon, u, outward)
     g = horizon.ambient.at(horizon.point(u))
-    t_vec = horizon.ambient.time_orientation(horizon.point(u))
+    t_vec = horizon.ambient.time_orientation(horizon.point(u)[None])[0]
     assert abs(lp @ g @ lp) < 1e-10
     assert abs(lm @ g @ lm) < 1e-10
     assert lp @ g @ lm == pytest.approx(-1.0, abs=1e-10)

@@ -32,11 +32,16 @@ def lambdify_calls(monkeypatch):
 
 def test_fresh_parameters_reuse_the_compiled_template(lambdify_calls):
     expressions._compile.cache_clear()
+    # catalog templates come from the generated module: nothing is lambdified
     inside = catalog.instantiate("ef_sphere", radius=1.5)
-    assert lambdify_calls
-    lambdify_calls.clear()
     outside = catalog.instantiate("ef_sphere", radius=3.0)
     assert lambdify_calls == []
+    # an inline text compiles once, on first use, for every constant value
+    fn, = expressions.template(("r",), ["M / r"], {"M": 1.0}).bind({"M": 1.0})
+    assert len(lambdify_calls) == 1
+    again, = expressions.template(("r",), ["M / r"], {"M": 2.0}).bind({"M": 2.0})
+    assert len(lambdify_calls) == 1
+    assert np.array_equal(2.0 * fn([[4.0]]), again([[4.0]]))
 
     grid = GridSpec((4, 8))
     assert classify_submanifold(inside, grid).verdict == "FutureTrapped"
