@@ -47,11 +47,11 @@ def dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_outputs(report_dict, csv_rows, json_paths, csv_paths, text_paths,
+def write_outputs(json_text, csv_rows, json_paths, csv_paths, text_paths,
                   text_body):
     for path in json_paths:
         with open(path, "w") as handle:
-            handle.write(dump_json(report_dict))
+            handle.write(json_text)
     for path in csv_paths:
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows(csv_rows)
@@ -150,7 +150,7 @@ def cmd_classify(args):
         text += f"note: {note}\n"
     print(text, end="")
     write_outputs(
-        report.to_dict(),
+        report.to_json(),
         report.to_csv_rows(embedding.param_names),
         *_collect_output_paths(config.outputs, args),
         text_body=text,
@@ -306,7 +306,8 @@ def cmd_verify(args):
               "variation": _verify_variation}[args.check]
     report, text, code = runner(args, config)
     print(text, end="")
-    write_outputs(report, None, *_collect_output_paths(outputs, args), text_body=text)
+    write_outputs(dump_json(report), None, *_collect_output_paths(outputs, args),
+                  text_body=text)
     return code
 
 

@@ -10,11 +10,12 @@ class PointOutsideChart(TrapsurfError):
 
 
 class DegenerateMetric(TrapsurfError):
-    """|det g| fell below the degeneracy tolerance."""
+    """g is not finite, or |det g| fell below the degeneracy tolerance."""
 
 
 class DerivativeFailure(TrapsurfError):
-    """A finite-difference stencil could not be evaluated."""
+    """A finite-difference stencil could not be evaluated, or a derivative
+    made the extrinsic geometry non-finite."""
 
 
 class DegenerateInducedMetric(TrapsurfError):

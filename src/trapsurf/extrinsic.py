@@ -5,17 +5,25 @@ Sign convention: K(x, y) = -(nabla_x y)^perp, so the mean curvature
 vector of a round sphere in flat space points along the outward radial
 direction and g(H, xi) integrates to the first variation of volume
 along xi (see the variation module).
+
+A classification keeps its per-node results as arrays (`LabelColumns`)
+from the grid kernel to the report files, written in the layout of
+json.dumps(..., indent=2, sort_keys=True); `report.labels` is a per-node
+PointLabel view built on demand.  Geometry that is not finite at a node
+raises a typed error, so no report holds a NaN.
 """
 
+import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
 from .embedding import Embedding, InducedPointData, NodeBundle
-from .errors import NotNormal, NotSpacelike
-from .geometry import (NULL_BAND_TOL, Causal, TimeOrientation, as_point,
-                       causal_label, raise_first)
+from .errors import DerivativeFailure, NotNormal, NotSpacelike
+from .geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
+                       TimeOrientation, as_point, causal_label, raise_first)
 from .quadrature import GridSpec
 
 NORMAL_TOL = 1e-6
@@ -46,7 +54,9 @@ class ExtrinsicData(NodeBundle):
 
 def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     """K, H and g(H, H) at a block of parameter points (N, d), via the
-    ambient connection and normal projection, in one pass of array calls."""
+    ambient connection and normal projection, in one pass of array calls.
+    g and Phi are checked finite first, so a non-finite g(H, H) comes
+    from a derivative."""
     data = E.induced_block(us)
     gam = E.ambient.christoffel_block(data.p, g=data.g)
     hess = E.second_frame_block(data.u)
@@ -60,6 +70,8 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     shape[:, :, a, b] = shape[:, :, b, a] = -normal
     h_vec = np.einsum("kab,kmab->km", data.gamma_inv, shape)
     h2 = np.einsum("km,kmn,kn->k", h_vec, data.g, h_vec)
+    raise_first(~np.isfinite(h2), DerivativeFailure, lambda i: (
+        f"g(H, H) of {E.name!r} not finite at u={data.u[i]}"))
     return ExtrinsicData(base=data, shape=shape, mean_curvature=h_vec, h_norm2=h2)
 
 
@@ -145,9 +157,29 @@ class PointLabel:
     theta: float = None  # only in codimension 1
 
 
+class LabelColumns(NamedTuple):
+    """The per-node labels of a block or grid as arrays over its nodes,
+    in PointLabel's field order; causal and time are integer codes into
+    geometry's _CAUSAL_CODES and _TIME_CODES."""
+
+    u: np.ndarray
+    causal: np.ndarray
+    time: np.ndarray
+    h_norm2: np.ndarray
+    ref_norm: np.ndarray
+    margin: np.ndarray
+    theta: np.ndarray = None
+
+    def point_labels(self):
+        """One PointLabel per node."""
+        theta = [None] * len(self.u) if self.theta is None else self.theta.tolist()
+        return tuple(map(PointLabel, self.u, _CAUSAL_CODES[self.causal],
+                         _TIME_CODES[self.time], self.h_norm2.tolist(),
+                         self.ref_norm.tolist(), self.margin.tolist(), theta))
+
+
 def _classify_block(E: Embedding, us, tol):
-    """Point labels at a block of parameter points, and for a hypersurface
-    whether each node's normal is timelike (None otherwise)."""
+    """Label columns at a block of parameter points."""
     ext = extrinsic_block(E, us)
     data = ext.base
     raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
@@ -160,25 +192,17 @@ def _classify_block(E: Embedding, us, tol):
     positive = scale > 0.0
     margin = np.where(positive,
                       np.abs(ext.h_norm2) / np.where(positive, scale, 1.0) - tol, 0.0)
-    theta = [None] * len(h_vec)
-    timelike_normal = None
+    theta = None
     if E.codim == 1:
         n = normal_space_basis(E, data)[:, :, 0]
         n2 = np.einsum("km,kmn,kn->k", n, g, n)
-        timelike_normal = n2 < 0.0
         n = n / np.sqrt(np.abs(n2))[:, None]
         n2 = np.einsum("km,kmn,kn->k", n, g, n)
         # orient timelike normals to the future
         flip = (n2 < 0.0) & (np.einsum("km,kmn,kn->k", n, g, t_vec) > 0.0)
         n = np.where(flip[:, None], -n, n)
         theta = np.einsum("km,kmn,kn->k", h_vec, g, n) / n2
-    labels = [
-        PointLabel(u=u, causal=c, time=t, h_norm2=float(h2), ref_norm=float(r),
-                   margin=float(m), theta=None if th is None else float(th))
-        for u, c, t, h2, r, m, th in zip(data.u, causal, time, ext.h_norm2,
-                                         ref_norm, margin, theta)
-    ]
-    return labels, timelike_normal
+    return LabelColumns(data.u, causal, time, ext.h_norm2, ref_norm, margin, theta)
 
 
 def classify_point(E: Embedding, u) -> PointLabel:
@@ -187,15 +211,20 @@ def classify_point(E: Embedding, u) -> PointLabel:
     Requires the submanifold to be spacelike at u (gamma positive
     definite) and a Lorentzian ambient with a time orientation.
     """
-    labels, _ = _classify_block(E, as_point(u)[None], NULL_BAND_TOL)
-    return labels[0]
+    return _classify_block(E, as_point(u)[None], NULL_BAND_TOL).point_labels()[0]
+
+
+# the report strings of the label codes
+_CAUSAL_NAMES = np.array([c.value for c in _CAUSAL_CODES])
+_TIME_NAMES = np.array([t.value for t in _TIME_CODES])
+_LABEL_NAMES = np.array([[f"{c}/{t}" for t in _TIME_NAMES] for c in _CAUSAL_NAMES])
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Per-point labels plus the aggregated submanifold verdict."""
+    """Per-node label columns plus the aggregated submanifold verdict."""
 
-    labels: tuple
+    columns: LabelColumns
     verdict: str
     tolerance: float
     grid: GridSpec
@@ -205,20 +234,27 @@ class ClassificationReport:
     embedding_name: str = ""
     notes: tuple = ()
 
-    def to_dict(self):
-        points = []
-        for lab in self.labels:
-            rec = {
-                "u": [float(x) for x in lab.u],
-                "h_norm2": float(lab.h_norm2),
-                "causal": lab.causal.value,
-                "time": lab.time.value,
-                "margin": float(lab.margin),
-            }
-            if lab.theta is not None:
-                rec["theta"] = float(lab.theta)
-            points.append(rec)
-        return {
+    @property
+    def labels(self):
+        """The per-node PointLabel view, built on each access."""
+        return self.columns.point_labels()
+
+    def to_json(self):
+        """The report as JSON text, laid out as json.dumps(..., indent=2,
+        sort_keys=True) plus a newline; the points are formatted from the
+        columns, one format string per node."""
+        cols = self.columns
+        node = ('    {\n      "causal": "%s",\n      "h_norm2": %r,\n      "margin": %r,\n'
+                + ('      "theta": %r,\n' if cols.theta is not None else '')
+                + '      "time": "%s",\n      "u": [\n'
+                + ",\n".join(["        %r"] * cols.u.shape[1]) + '\n      ]\n    }')
+        values = [_CAUSAL_NAMES[cols.causal].tolist(), cols.h_norm2.tolist(),
+                  cols.margin.tolist()]
+        if cols.theta is not None:
+            values.append(cols.theta.tolist())
+        values += [_TIME_NAMES[cols.time].tolist(), *cols.u.T.tolist()]
+        points = ",\n".join(node % row for row in zip(*values))
+        text = json.dumps({
             "schema": "report_v1",
             "kind": "classification",
             "metric": self.metric_name,
@@ -232,38 +268,34 @@ class ClassificationReport:
             "boundary_count": self.boundary_count,
             "min_margin": float(self.min_margin),
             "notes": list(self.notes),
-            "points": points,
-        }
+            "points": [],
+        }, indent=2, sort_keys=True) + "\n"
+        # only a top-level key sits at a line start with two spaces and an
+        # unescaped quote, so this splits at the points and nowhere else
+        head, _, tail = text.partition('\n  "points": []')
+        return f'{head}\n  "points": [\n{points}\n  ]{tail}'
 
     def to_csv_rows(self, param_names):
-        header = list(param_names) + ["h_norm2", "label", "margin"]
-        rows = [header]
-        for lab in self.labels:
-            rows.append(
-                [repr(float(x)) for x in lab.u]
-                + [
-                    repr(float(lab.h_norm2)),
-                    f"{lab.causal.value}/{lab.time.value}",
-                    repr(float(lab.margin)),
-                ]
-            )
-        return rows
+        cols = self.columns
+        labels = _LABEL_NAMES[cols.causal, cols.time].tolist()
+        return [list(param_names) + ["h_norm2", "label", "margin"],
+                *zip(*cols.u.T.tolist(), cols.h_norm2.tolist(), labels,
+                     cols.margin.tolist())]
 
 
-def _point_category(lab: PointLabel, tol):
-    if lab.causal is Causal.ZERO:
-        return "Z"
-    if lab.causal is Causal.SPACELIKE:
-        return "S"
-    if lab.causal is Causal.NULL:
-        if lab.ref_norm <= 10.0 * tol:
-            return "B"  # within the null band but not clearly nonzero
-        return "NF" if lab.time is TimeOrientation.FUTURE else "NP"
-    return "TF" if lab.time is TimeOrientation.FUTURE else "TP"
+def _categories(cols, tol):
+    """Each node's category: Z(ero), S(pacelike), B (within the null band
+    but not clearly nonzero), and N(ull) or T(imelike), F(uture) or P(ast)."""
+    # causal codes: 0 zero, 1 null, 2 timelike, 3 spacelike; time code 1 is future
+    future = cols.time == 1
+    oriented = np.where(cols.causal == 1, np.where(future, "NF", "NP"),
+                        np.where(future, "TF", "TP"))
+    return np.select([cols.causal == 0, cols.causal == 3,
+                      (cols.causal == 1) & (cols.ref_norm <= 10.0 * tol)],
+                     ["Z", "S", "B"], oriented)
 
 
-def _aggregate(categories):
-    cats = set(categories)
+def _aggregate(cats):
     if "B" in cats:
         return "Mixed", True
     if cats == {"Z"}:
@@ -293,32 +325,27 @@ def classify_submanifold(E: Embedding, grid: GridSpec, tol=NULL_BAND_TOL):
     caller can judge whether the grid resolves the transition.
     """
     points, _ = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    labels = []
-    timelike_normal = None
-    for block in quadrature.node_blocks(points):
-        block_labels, block_normals = _classify_block(E, block, tol)
-        if not labels and block_normals is not None:
-            timelike_normal = bool(block_normals[0])
-        labels += block_labels
-    labels = tuple(labels)
-    categories = [_point_category(lab, tol) for lab in labels]
-    verdict, boundary = _aggregate(categories)
+    blocks = [_classify_block(E, block, tol) for block in quadrature.node_blocks(points)]
+    cols = LabelColumns(*(None if parts[0] is None else np.concatenate(parts)
+                          for parts in zip(*blocks)))
+    categories = _categories(cols, tol)
+    verdict, boundary = _aggregate(set(np.unique(categories).tolist()))
     notes = []
     if boundary:
         notes.append(
             "verdict Mixed due to points whose H sits between the zero and "
             "null-nonzero thresholds; refine the grid or adjust tolerances"
         )
-    if timelike_normal:
+    if E.codim == 1:
         notes.append("hypersurface with timelike normal: H = theta * n; "
                      "theta == 0 everywhere means a maximal hypersurface")
     return ClassificationReport(
-        labels=labels,
+        columns=cols,
         verdict=verdict,
         tolerance=tol,
         grid=grid,
-        boundary_count=sum(1 for c in categories if c == "B"),
-        min_margin=min(lab.margin for lab in labels),
+        boundary_count=int(np.count_nonzero(categories == "B")),
+        min_margin=float(cols.margin.min()),
         metric_name=E.ambient.name,
         embedding_name=E.name,
         notes=tuple(notes),

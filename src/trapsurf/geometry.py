@@ -45,9 +45,10 @@ _TIME_CODES = np.array([TimeOrientation.NOT_APPLICABLE, TimeOrientation.FUTURE,
 
 
 def causal_label(v, g, absg, t_vec, tol=NULL_BAND_TOL):
-    """Classify a block of vectors v (N, D) as per-node lists of Causal and
-    TimeOrientation, given the metric g, its reference norm |g| and the
-    future vector T at each vector's base point (N, D, D), (N, D, D), (N, D).
+    """Classify a block of vectors v (N, D) as integer code arrays (N,),
+    indexes into _CAUSAL_CODES and _TIME_CODES, given the metric g, its
+    reference norm |g| and the future vector T at each vector's base point
+    (N, D, D), (N, D, D), (N, D).
 
     The null band is |g(v,v)| <= tol * |g|(v,v); the zero label applies
     when all components are below tol in magnitude.
@@ -61,7 +62,7 @@ def causal_label(v, g, absg, t_vec, tol=NULL_BAND_TOL):
     future = np.einsum("km,kmn,kn->k", v, g, t_vec) < 0.0
     oriented = (codes == 1) | (codes == 2)
     time = np.where(oriented, np.where(future, 1, 2), 0)
-    return list(_CAUSAL_CODES[codes]), list(_TIME_CODES[time])
+    return codes, time
 
 
 def as_point(p):
@@ -162,13 +163,13 @@ class MetricField:
         return sorted(self.signature) == [-1] + [1] * (self.dim - 1)
 
     def _check_chart(self, points):
-        points = as_points(points)
+        """A block of points (N, D), every one finite and inside the chart."""
+        points = np.asarray(points, dtype=float)
+        inside = np.isfinite(points).all(axis=1)
         if points.shape[1] != self.dim:
-            inside = np.zeros(len(points), dtype=bool)
+            inside[:] = False
         elif self.chart_domain is not None:
-            inside = np.asarray(self.chart_domain(points), dtype=bool)
-        else:
-            return points
+            inside &= np.asarray(self.chart_domain(points), dtype=bool)
         raise_first(~inside, PointOutsideChart, lambda i: (
             f"{points[i]} outside chart of metric {self.name!r}"))
         return points
@@ -180,10 +181,12 @@ class MetricField:
         g = 0.5 * (g + np.swapaxes(g, -1, -2))  # exact symmetry by construction
         scale = np.prod(np.maximum(np.abs(g).max(axis=-1), np.finfo(float).tiny),
                         axis=-1)
-        raise_first(np.abs(np.linalg.det(g)) < DEGENERACY_TOL * scale,
+        det = np.linalg.det(g)
+        raise_first(~(np.isfinite(det) & (np.abs(det) >= DEGENERACY_TOL * scale)),
                     DegenerateMetric, lambda i: (
                         f"metric {self.name!r} degenerate at {points[i]} "
-                        "(|det| below tolerance)"))
+                        "(|det| below tolerance)" if np.isfinite(g[i]).all()
+                        else f"metric {self.name!r} not finite at {points[i]}"))
         return g
 
     def at(self, p):

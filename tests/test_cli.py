@@ -228,6 +228,43 @@ def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     assert json.loads(err)["error"]["type"] in ("ConfigError", "InvalidExpression")
 
 
+def _non_finite_metric(cfg):
+    cfg["metric"]["inline"]["components"][1][1] = "sqrt(x)"
+
+
+def _non_finite_map(cfg):
+    cfg["embedding"]["inline"]["map"] = ["0", "sqrt(u1 - 1)", "u2", "0"]
+    cfg["embedding"]["inline"]["domain"] = [[0.0, 2.0], [0.0, 1.0]]
+
+
+def _non_finite_metric_derivative(cfg):
+    # g is finite on the plane t = z = 0, but d_x g is 0/0 at its x = 0 nodes
+    cfg["metric"]["inline"]["components"][1][1] = "1 + exp(-1/x**2)"
+    cfg["embedding"]["inline"]["map"] = ["0", "u1", "u2", "0"]
+    cfg["embedding"]["inline"]["domain"] = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mutate, error", [
+    (_non_finite_metric, "DegenerateMetric"),
+    (_non_finite_map, "PointOutsideChart"),
+    (_non_finite_metric_derivative, "DerivativeFailure"),
+])
+def test_non_finite_geometry_is_a_numerical_failure(tmp_path, capsys, mutate, error):
+    cfg = _inline_sphere_config()
+    mutate(cfg)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "3,3",
+                         "--out-json", str(out_json), "--out-csv", str(out_csv))
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == error
+    assert json.loads(out_json.read_text()) == json.loads(err)
+    assert not out_csv.exists()
+    assert "NaN" not in out + err
+
+
 def test_classify_metric_must_be_the_embeddings_own(capsys):
     # r = 3 lies inside the horizon of M = 2, but ef_sphere carries M = 1
     code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",

@@ -1,13 +1,18 @@
+import csv
+import io
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trapsurf.embedding import Embedding
+from trapsurf.embedding import Embedding, embedding_from_expressions
 from trapsurf.errors import NotNormal, NotSpacelike
 from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (
+    LabelColumns,
+    _categories,
     classify_point,
     classify_submanifold,
     expansion,
@@ -277,11 +282,8 @@ def test_mean_curvature_is_isometry_equivariant(rng):
 
 
 def test_report_serialization_round_trip():
-    import json
-
     report = classify_submanifold(cat("round_sphere"), GridSpec((4, 4)))
-    blob = json.dumps(report.to_dict(), sort_keys=True)
-    data = json.loads(blob)
+    data = json.loads(report.to_json())
     assert data["schema"] == "report_v1"
     assert data["kind"] == "classification"
     assert data["verdict"] == "AbsolutelyNonTrapped"
@@ -290,3 +292,80 @@ def test_report_serialization_round_trip():
     assert rows[0] == ["u1", "u2", "h_norm2", "label", "margin"]
     assert len(rows) == 17
     assert rows[1][3] == "Spacelike/NotApplicable"
+
+
+def _odd_name_sphere():
+    """A round sphere whose name holds the points key, quotes, a backslash
+    and a newline, as a JSON writer that splices text must survive."""
+    return embedding_from_expressions(
+        cat("minkowski"), ("u1", "u2"),
+        ["0", "sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+        param_domain=[(0.0, math.pi), (0.0, 2.0 * math.pi)], periodic=[False, True],
+        closed=True, name='odd\n  "points": [] \\ "sphere"')
+
+
+WRITER_REPORTS = {
+    "ef_sphere": lambda: classify_submanifold(cat("ef_sphere"), GridSpec((8, 16))),
+    "rw_slice": lambda: classify_submanifold(cat("t_const_hypersurface_rw"),
+                                             GridSpec((4, 4, 4))),
+    "ppwave_mixed": lambda: classify_submanifold(cat("ppwave_wavy_torus"),
+                                                 GridSpec((12, 12))),
+    "odd_name": lambda: classify_submanifold(_odd_name_sphere(), GridSpec((4, 6))),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_REPORTS)
+def test_report_json_and_csv_are_written_from_the_columns(name):
+    report = WRITER_REPORTS[name]()
+    # JSON: the stdlib layout, holding the values of the per-node view
+    text = report.to_json()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    expected = []
+    for lab in report.labels:
+        point = {"causal": lab.causal.value, "h_norm2": lab.h_norm2,
+                 "margin": lab.margin, "time": lab.time.value, "u": lab.u.tolist()}
+        if lab.theta is not None:
+            point["theta"] = lab.theta
+        expected.append(point)
+    assert data["points"] == expected
+    assert data["verdict"] == report.verdict
+    assert data["embedding"] == report.embedding_name
+    assert (name == "rw_slice") == ("theta" in data["points"][0])
+    assert (name == "ppwave_mixed") == (report.verdict == "Mixed")
+    # CSV: the cells read back are the reprs of the columns
+    params = tuple(f"u{a + 1}" for a in range(report.columns.u.shape[1]))
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(report.to_csv_rows(params))
+    header, *rows = csv.reader(io.StringIO(buffer.getvalue()))
+    assert header == [*params, "h_norm2", "label", "margin"]
+    cols = report.columns
+    assert rows == [
+        [*map(repr, u), repr(h2), f"{lab.causal.value}/{lab.time.value}", repr(m)]
+        for u, h2, m, lab in zip(cols.u.tolist(), cols.h_norm2.tolist(),
+                                 cols.margin.tolist(), report.labels)
+    ]
+
+
+def _point_category(lab, tol):
+    """The category rules node by node, as the reference for _categories."""
+    if lab.causal is Causal.ZERO:
+        return "Z"
+    if lab.causal is Causal.SPACELIKE:
+        return "S"
+    if lab.causal is Causal.NULL:
+        if lab.ref_norm <= 10.0 * tol:
+            return "B"
+        return "NF" if lab.time is TimeOrientation.FUTURE else "NP"
+    return "TF" if lab.time is TimeOrientation.FUTURE else "TP"
+
+
+def test_categories_follow_the_pointwise_rules():
+    tol = 1e-9
+    # every causal and time code, with |H| below, at and above the B band edge
+    causal, time, ref_norm = (a.ravel() for a in np.meshgrid(
+        np.arange(4), np.arange(3), [5.0 * tol, 10.0 * tol, 20.0 * tol], indexing="ij"))
+    zeros = np.zeros(len(causal))
+    cols = LabelColumns(np.zeros((len(causal), 2)), causal, time, zeros, ref_norm, zeros)
+    assert _categories(cols, tol).tolist() == [
+        _point_category(lab, tol) for lab in cols.point_labels()]

@@ -5,6 +5,8 @@ import pytest
 
 from trapsurf.errors import DegenerateMetric, PointOutsideChart
 from trapsurf.geometry import (
+    _CAUSAL_CODES,
+    _TIME_CODES,
     Causal,
     TimeOrientation,
     VectorField,
@@ -72,7 +74,7 @@ def _labels(metric, vs, p):
     g = metric.metric_block(ps)
     causal, time = causal_label(np.asarray(vs, dtype=float), g, absolute_metric(g),
                                 metric.future_block(ps))
-    return list(zip(causal, time))
+    return list(zip(_CAUSAL_CODES[causal], _TIME_CODES[time]))
 
 
 def test_causal_character_examples():
