@@ -12,6 +12,8 @@ boundary diagnostic, 64 config error, 65 unknown catalog entry.
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import sys
 
@@ -32,6 +34,10 @@ EXIT_MIXED_BOUNDARY = 2
 EXIT_CONFIG = 64
 EXIT_UNKNOWN_ENTRY = 65
 
+# The output formats each command writes; a config output in any other
+# format is a configuration error, raised before the run.
+COMMAND_FORMATS = {"classify": ("json", "csv", "text"), "verify": ("json", "text")}
+
 EQ3_EMBEDDINGS = (
     "round_sphere", "ring_torus", "flat_torus", "accelerated_curve",
     "spacelike_plane", "comoving_sphere_rw", "t_const_hypersurface_rw",
@@ -47,17 +53,21 @@ def dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_outputs(json_text, csv_rows, json_paths, csv_paths, text_paths,
-                  text_body):
-    for path in json_paths:
-        with open(path, "w") as handle:
-            handle.write(json_text)
-    for path in csv_paths:
+def write_outputs(paths, bodies):
+    """Write each (format, path) of `paths`; `bodies[format]()` builds a
+    format's text, once, and only when some path asks for it."""
+    built = {}
+    for fmt, path in paths:
+        if fmt not in built:
+            built[fmt] = bodies[fmt]()
         with open(path, "w", newline="") as handle:
-            csv.writer(handle).writerows(csv_rows)
-    for path in text_paths:
-        with open(path, "w") as handle:
-            handle.write(text_body)
+            handle.write(built[fmt])
+
+
+def _csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def parse_catalog_ref(text):
@@ -92,21 +102,18 @@ def parse_tol_overrides(items):
 
 
 def config_from_args(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        if not getattr(args, "embedding", None):
-            raise ConfigError("provide --config or --embedding")
-        data = {
-            "schema_version": 1,
-            "embedding": parse_catalog_ref(args.embedding),
-        }
-        if getattr(args, "metric", None):
-            data["metric"] = parse_catalog_ref(args.metric)
-        if getattr(args, "field", None):
-            data["fields"] = [parse_catalog_ref(f) for f in args.field]
-        cfg = RunConfig.from_dict(data)
-    return cfg
+    """The run configuration: --config, else the catalog options of classify;
+    None for verify without --config."""
+    if getattr(args, "config", None):
+        return load_config(args.config)
+    if args.command == "verify":
+        return None
+    if not args.embedding:
+        raise ConfigError("provide --config or --embedding")
+    data = {"schema_version": 1, "embedding": parse_catalog_ref(args.embedding)}
+    if args.metric:
+        data["metric"] = parse_catalog_ref(args.metric)
+    return RunConfig.from_dict(data)
 
 
 def grid_for(args, dim, default):
@@ -118,19 +125,7 @@ def grid_for(args, dim, default):
     return grid
 
 
-def _collect_output_paths(outputs, args):
-    json_paths = [o["path"] for o in outputs if o["format"] == "json"]
-    csv_paths = [o["path"] for o in outputs if o["format"] == "csv"]
-    text_paths = [o["path"] for o in outputs if o["format"] == "text"]
-    if args.out_json:
-        json_paths.append(args.out_json)
-    if getattr(args, "out_csv", None):
-        csv_paths.append(args.out_csv)
-    return json_paths, csv_paths, text_paths
-
-
-def cmd_classify(args):
-    config = config_from_args(args)
+def cmd_classify(args, config):
     tols = check_tolerances({**config.tolerances, **parse_tol_overrides(args.tol)})
     embedding = build_embedding(config)
     grid = grid_for(args, embedding.dim,
@@ -148,28 +143,39 @@ def cmd_classify(args):
     )
     for note in report.notes:
         text += f"note: {note}\n"
-    print(text, end="")
-    write_outputs(
-        report.to_json(),
-        report.to_csv_rows(embedding.param_names),
-        *_collect_output_paths(config.outputs, args),
-        text_body=text,
-    )
-    if report.verdict == "Mixed" and report.boundary_count > 0:
-        return EXIT_MIXED_BOUNDARY
-    return EXIT_OK
+    bodies = {"json": report.to_json, "text": lambda: text,
+              "csv": lambda: _csv_text(report.to_csv_rows(embedding.param_names))}
+    mixed = report.verdict == "Mixed" and report.boundary_count > 0
+    return text, bodies, EXIT_MIXED_BOUNDARY if mixed else EXIT_OK
 
 
-def _config_cases(config, check):
-    """(embedding, field) pairs of a verify config: its embedding with each field."""
-    embedding = build_embedding(config)
-    fields = build_fields(config, embedding.ambient)
-    if not fields:
-        raise ConfigError(f"verify {check} needs at least one vector field")
-    return [(embedding, xi) for xi in fields]
+def _verify_cases(args, config, default_cases, points, evaluate, describe):
+    """Evaluate each case, the config's embedding with each of its fields or
+    else `default_cases()`, on the --grid, the config's grid or `points` per
+    axis.  Returns the report's cases and verdict, one text line per case
+    (`describe(result)` and [ok] or [FAIL]) and the exit code."""
+    if config is None:
+        cases = default_cases()
+    else:
+        embedding = build_embedding(config)
+        cases = [(embedding, xi) for xi in build_fields(config, embedding.ambient)]
+        if not cases:
+            raise ConfigError(f"verify {args.check} needs at least one vector field")
+    config_grid = config.grid if config else None
+    results = []
+    for emb, xi in cases:
+        grid = grid_for(args, emb.dim, config_grid or GridSpec((points,) * emb.dim))
+        results.append({"embedding": emb.name, "field": xi.name,
+                        **evaluate(emb, xi, grid)})
+    ok = all(r["passed"] for r in results)
+    text = "".join(f"{r['embedding']} / {r['field']}: {describe(r)} "
+                   f"[{'ok' if r['passed'] else 'FAIL'}]\n" for r in results)
+    return {"cases": results, "passed": ok}, text, EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _verify_eq3(args, config):
+    if args.triples < 1:
+        raise ConfigError(f"--triples must be at least 1, got {args.triples}")
     rng = np.random.default_rng(args.seed)
     triples = args.triples
     tol = 1e-4 if args.fd else 1e-6
@@ -201,11 +207,8 @@ def _verify_eq3(args, config):
 
 
 def _verify_killing(args, config):
-    config_grid = config.grid if config else None
-    if config is not None:
-        cases = _config_cases(config, "killing")
-    else:
-        cases = [
+    def default_cases():
+        return [
             (catalog.instantiate("comoving_sphere_rw", scale="t"),
              catalog.instantiate("rw_conformal", scale="t")),
             (catalog.instantiate("round_sphere"),
@@ -215,100 +218,62 @@ def _verify_killing(args, config):
             (catalog.instantiate("ring_torus"),
              catalog.instantiate("time_translation")),
         ]
-    results = []
-    ok = True
-    for emb, xi in cases:
-        grid = grid_for(args, emb.dim, config_grid or GridSpec((24,) * emb.dim))
+
+    def evaluate(emb, xi, grid):
         res = variation.killing_integral_check(emb, xi, grid)
-        passed = res.residual < 1e-6 and res.obstruction_ok
-        ok = ok and passed
-        results.append({
-            "embedding": emb.name,
-            "field": xi.name,
-            "lhs": res.lhs,
-            "rhs": res.rhs,
-            "residual": res.residual,
-            "flux": res.flux,
-            "psi_sign": res.psi_sign,
-            "obstruction_ok": res.obstruction_ok,
-            "notes": list(res.notes),
-            "passed": passed,
-        })
-    report = {
-        "schema": "report_v1",
-        "kind": "killing",
-        "cases": results,
-        "passed": ok,
-    }
-    lines = [
-        f"{r['embedding']} / {r['field']}: lhs {r['lhs']:.9g} rhs {r['rhs']:.9g} "
-        f"residual {r['residual']:.9g} [{'ok' if r['passed'] else 'FAIL'}]"
-        for r in results
-    ]
-    return report, "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_NUMERICAL
+        return {**dataclasses.asdict(res),
+                "passed": res.residual < 1e-6 and res.obstruction_ok}
+
+    cases, text, code = _verify_cases(
+        args, config, default_cases, 24, evaluate,
+        lambda r: f"lhs {r['lhs']:.9g} rhs {r['rhs']:.9g} residual {r['residual']:.9g}")
+    return {"schema": "report_v1", "kind": "killing", **cases}, text, code
 
 
 def _verify_variation(args, config):
     if not (np.isfinite(args.tau) and args.tau > 0.0):
         raise ConfigError(f"--tau must be a finite number > 0, got {args.tau!r}")
-    rng = np.random.default_rng(args.seed)
-    config_grid = config.grid if config else None
-    if config is not None:
-        pairs = _config_cases(config, "variation")
-    else:
-        pairs = []
-        for _ in range(args.pairs):
+    if config is not None and (args.pairs is not None or args.seed is not None):
+        raise ConfigError("--pairs and --seed draw random pairs; they apply only "
+                          "without --config")
+    pairs = 20 if args.pairs is None else args.pairs
+    seed = 0 if args.seed is None else args.seed
+    if pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {pairs}")
+
+    def default_cases():
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(pairs):
             name = VARIATION_EMBEDDINGS[rng.integers(len(VARIATION_EMBEDDINGS))]
             emb = catalog.instantiate(name)
-            pairs.append((emb, random_polynomial_field(rng, emb.ambient.dim)))
-    results = []
-    ok = True
-    for emb, xi in pairs:
-        grid = grid_for(args, emb.dim, config_grid or GridSpec((16,) * emb.dim))
+            cases.append((emb, random_polynomial_field(rng, emb.ambient.dim)))
+        return cases
+
+    def evaluate(emb, xi, grid):
         direct = variation.volume_variation(emb, xi, grid)
         flow = variation.FlowSpec(field=xi, tau_step=args.tau)
         oracle = variation.flow_volume_oracle(emb, flow, grid)
         rel = abs(direct.total - oracle) / max(abs(oracle), 1e-8)
-        passed = rel < 1e-4
-        ok = ok and passed
-        results.append({
-            "embedding": emb.name,
-            "field": xi.name,
-            "identity_value": direct.total,
-            "divergence_term": direct.divergence_term,
-            "flow_oracle": oracle,
-            "relative_difference": rel,
-            "passed": passed,
-        })
-    report = {
-        "schema": "report_v1",
-        "kind": "variation",
-        "seed": args.seed,
-        "tau": args.tau,
-        "cases": results,
-        "passed": ok,
-    }
-    lines = [
-        f"{r['embedding']} / {r['field']}: dV/dtau {r['identity_value']:.9g} "
-        f"oracle {r['flow_oracle']:.9g} rel diff {r['relative_difference']:.9g} "
-        f"[{'ok' if r['passed'] else 'FAIL'}]"
-        for r in results
-    ]
-    return report, "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_NUMERICAL
+        return {"identity_value": direct.total,
+                "divergence_term": direct.divergence_term,
+                "flow_oracle": oracle, "relative_difference": rel,
+                "passed": rel < 1e-4}
+
+    cases, text, code = _verify_cases(
+        args, config, default_cases, 16, evaluate,
+        lambda r: (f"dV/dtau {r['identity_value']:.9g} oracle {r['flow_oracle']:.9g} "
+                   f"rel diff {r['relative_difference']:.9g}"))
+    report = {"schema": "report_v1", "kind": "variation", "seed": seed,
+              "tau": args.tau, **cases}
+    return report, text, code
 
 
-def cmd_verify(args):
-    config = load_config(args.config) if getattr(args, "config", None) else None
-    outputs = config.outputs if config else ()
-    if any(o["format"] == "csv" for o in outputs):
-        raise ConfigError("verify produces no CSV output")
+def cmd_verify(args, config):
     runner = {"eq3": _verify_eq3, "killing": _verify_killing,
               "variation": _verify_variation}[args.check]
     report, text, code = runner(args, config)
-    print(text, end="")
-    write_outputs(dump_json(report), None, *_collect_output_paths(outputs, args),
-                  text_body=text)
-    return code
+    return text, {"json": lambda: dump_json(report), "text": lambda: text}, code
 
 
 def cmd_catalog(args):
@@ -373,8 +338,10 @@ def build_parser():
     common(checks.add_parser("killing", help="conformal-Killing integral identity"))
     p_var = checks.add_parser("variation", help="first variation against the flow oracle")
     common(p_var)
-    p_var.add_argument("--seed", type=int, default=0)
-    p_var.add_argument("--pairs", type=int, default=20, help="random pairs")
+    p_var.add_argument("--seed", type=int,
+                       help="seed of the random pairs (default 0; not with --config)")
+    p_var.add_argument("--pairs", type=int,
+                       help="random pairs (default 20; not with --config)")
     p_var.add_argument("--tau", type=float, default=1e-4,
                        help="flow parameter for the oracle")
 
@@ -384,27 +351,29 @@ def build_parser():
     return parser
 
 
-def _error_report(exc):
-    return {
-        "schema": "report_v1",
-        "kind": "error",
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    paths = [(fmt, getattr(args, f"out_{fmt}", None)) for fmt in ("json", "csv")]
+    paths = [(fmt, path) for fmt, path in paths if path]
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "catalog":
-            if args.action == "show" and not args.name:
-                raise ConfigError("catalog show requires an entry name")
-            return cmd_catalog(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # Non-finite geometry raises typed errors; numpy's own warnings
+        # would only put text ahead of the error JSON on stderr.
+        with np.errstate(all="ignore"):
+            if args.command == "catalog":
+                if args.action == "show" and not args.name:
+                    raise ConfigError("catalog show requires an entry name")
+                return cmd_catalog(args)
+            config = config_from_args(args)
+            outputs = [(o["format"], o["path"]) for o in config.outputs] if config else []
+            for fmt, _ in outputs:
+                if fmt not in COMMAND_FORMATS[args.command]:
+                    raise ConfigError(f"{args.command} produces no {fmt.upper()} output")
+            paths = outputs + paths
+            command = cmd_classify if args.command == "classify" else cmd_verify
+            text, bodies, code = command(args, config)
+            print(text, end="")
+            write_outputs(paths, bodies)
+            return code
     except TrapsurfError as exc:
         if isinstance(exc, (ConfigError, ParamOutOfRange)):
             code = EXIT_CONFIG
@@ -412,12 +381,10 @@ def main(argv=None):
             code = EXIT_UNKNOWN_ENTRY
         else:
             code = EXIT_NUMERICAL
-        body = dump_json(_error_report(exc))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        body = dump_json({"schema": "report_v1", "kind": "error", "error": error})
         sys.stderr.write(body)
-        out_json = getattr(args, "out_json", None)
-        if out_json:
-            with open(out_json, "w") as handle:
-                handle.write(body)
+        write_outputs([p for p in paths if p[0] == "json"], {"json": lambda: body})
         return code
 
 

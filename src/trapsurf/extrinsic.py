@@ -134,7 +134,7 @@ def null_normal_pair(E: Embedding, u, outward):
         raise NotSpacelike("normal metric is not Lorentzian")
     w_time = basis @ (v[:, 0] / np.sqrt(-w[0]))
     w_space = basis @ (v[:, 1] / np.sqrt(w[1]))
-    if float(w_time @ g @ E.ambient.future_vector(data.p)) > 0.0:
+    if float(w_time @ g @ E.ambient.future_block(data.p[None])[0]) > 0.0:
         w_time = -w_time
     l_a = (w_time + w_space) / np.sqrt(2.0)
     l_b = (w_time - w_space) / np.sqrt(2.0)

@@ -229,10 +229,6 @@ class MetricField:
             raise ValueError("causal classification requires a time orientation")
         return np.asarray(self.time_orientation(as_points(points)), dtype=float)
 
-    def future_vector(self, p):
-        """The declared future-pointing vector T^mu at p."""
-        return self.future_block(as_point(p)[None])[0]
-
     def lie_derivative_block(self, xi: VectorField, points, g=None):
         """(Lie_xi g)_{mu nu} at each point of a block; `g` as in
         christoffel_block."""

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trapsurf import cli
+from trapsurf.extrinsic import ClassificationReport
 
 
 def run(capsys, *argv):
@@ -179,6 +180,109 @@ def test_verify_rejects_a_csv_output_before_the_run(tmp_path, capsys):
     assert not json_path.exists()
 
 
+def test_an_error_report_reaches_every_json_output(tmp_path, capsys):
+    config_json, out_json = tmp_path / "config-report.json", tmp_path / "report.json"
+    for path in (config_json, out_json):
+        path.write_text('{"passed": true}\n')  # a stale report of an earlier run
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "timelike_plane"},
+        "grid": {"points_per_axis": [4, 4]},
+        "outputs": [{"format": "json", "path": str(config_json)}],
+    }))
+    code, out, err = run(capsys, "classify", "--config", str(path),
+                         "--out-json", str(out_json))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "NotSpacelike"
+    assert config_json.read_text() == err
+    assert out_json.read_text() == err
+
+
+def _count_report_bodies(monkeypatch):
+    calls = {"to_json": 0, "to_csv_rows": 0}
+    for name in calls:
+        original = getattr(ClassificationReport, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ClassificationReport, name, counted)
+    return calls
+
+
+def test_classify_builds_report_bodies_only_when_asked(tmp_path, monkeypatch, capsys):
+    calls = _count_report_bodies(monkeypatch)
+    code, out, _ = run(capsys, "classify", "--embedding", "round_sphere", "--grid", "4,4")
+    assert code == 0 and "verdict:" in out
+    assert calls == {"to_json": 0, "to_csv_rows": 0}
+
+    config_json, out_json = tmp_path / "config-report.json", tmp_path / "report.json"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "grid": {"points_per_axis": [4, 4]},
+        "outputs": [{"format": "json", "path": str(config_json)}],
+    }))
+    code, _, _ = run(capsys, "classify", "--config", str(path),
+                     "--out-json", str(out_json))
+    assert code == 0
+    assert calls == {"to_json": 1, "to_csv_rows": 0}
+    assert config_json.read_bytes() == out_json.read_bytes()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("eq3", "--triples", "0"), "--triples"),
+    (("eq3", "--triples", "-2"), "--triples"),
+    (("variation", "--pairs", "0"), "--pairs"),
+    (("variation", "--pairs", "-3"), "--pairs"),
+    (("variation", "--config", "CONFIG", "--pairs", "50"), "--pairs"),
+    (("variation", "--config", "CONFIG", "--seed", "7"), "--seed"),
+])
+def test_verify_counts_and_random_options_are_checked(tmp_path, monkeypatch, capsys,
+                                                       argv, option):
+    def no_runs(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli.variation, "volume_variation", no_runs)
+    monkeypatch.setattr(cli.variation, "first_variation_density", no_runs)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+    }))
+    argv = [str(path) if a == "CONFIG" else a for a in argv]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert option in report["error"]["message"]
+
+
+def test_verify_case_keys(tmp_path, capsys):
+    killing, variation = tmp_path / "killing.json", tmp_path / "variation.json"
+    code, _, _ = run(capsys, "verify", "killing", "--grid", "6,6",
+                     "--out-json", str(killing))
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "variation", "--pairs", "1", "--grid", "6,6",
+                     "--out-json", str(variation))
+    assert code == 0
+    killing, variation = (json.loads(p.read_text()) for p in (killing, variation))
+    assert set(killing) == {"schema", "kind", "cases", "passed"}
+    for case in killing["cases"]:
+        assert set(case) == {"embedding", "field", "lhs", "rhs", "residual", "flux",
+                             "psi_sign", "obstruction_ok", "notes", "passed"}
+        assert isinstance(case["notes"], list)
+    assert set(variation) == {"schema", "kind", "seed", "tau", "cases", "passed"}
+    assert variation["seed"] == 0
+    (case,) = variation["cases"]
+    assert set(case) == {"embedding", "field", "identity_value", "divergence_term",
+                         "flow_oracle", "relative_difference", "passed"}
+
+
 def _inline_sphere_config():
     return {
         "schema_version": 1,
@@ -244,7 +348,6 @@ def _non_finite_metric_derivative(cfg):
     cfg["embedding"]["inline"]["domain"] = [[-1.0, 1.0], [-1.0, 1.0]]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mutate, error", [
     (_non_finite_metric, "DegenerateMetric"),
     (_non_finite_map, "PointOutsideChart"),
