@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -237,7 +238,7 @@ def _verify_variation(args, config):
         raise ConfigError("--pairs and --seed draw random pairs; they apply only "
                           "without --config")
     pairs = 20 if args.pairs is None else args.pairs
-    seed = 0 if args.seed is None else args.seed
+    seed = None if config else (0 if args.seed is None else args.seed)
     if pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {pairs}")
 
@@ -385,6 +386,9 @@ def main(argv=None):
         body = dump_json({"schema": "report_v1", "kind": "error", "error": error})
         sys.stderr.write(body)
         write_outputs([p for p in paths if p[0] == "json"], {"json": lambda: body})
+        # no CSV or text output of an earlier run stays beside the error report
+        for _, path in (p for p in paths if p[0] != "json"):
+            Path(path).unlink(missing_ok=True)
         return code
 
 

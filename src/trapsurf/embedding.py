@@ -129,12 +129,15 @@ class Embedding:
         """Frame, induced metric, inverse and volume density at a block of
         parameter points (N, d).  A failing check names its first node."""
         us = as_points(us)
-        p = self.point_block(us)
+        return self.induced_from(us, self.point_block(us), self.frame_block(us), self.name)
+
+    def induced_from(self, us, p, e, name):
+        """`induced_block` at parameter points us whose ambient points p and
+        frames e are given; a failing check names the surface `name`."""
         g = self.ambient.metric_block(p)
-        e = self.frame_block(us)
         rank = np.linalg.matrix_rank(e, tol=1e-10 * (1.0 + np.abs(e).max(axis=(1, 2))))
         raise_first(rank < self.dim, RankDeficientImmersion, lambda i: (
-            f"jacobian of {self.name!r} rank-deficient at u={us[i]}"))
+            f"jacobian of {name!r} rank-deficient at u={us[i]}"))
         gamma = np.swapaxes(e, 1, 2) @ g @ e
         gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
         absg = absolute_metric(g)
@@ -143,7 +146,7 @@ class Embedding:
         tiny = np.finfo(float).tiny
         raise_first(np.abs(det) < 1e-12 * np.prod(np.maximum(ref, tiny), axis=1),
                     DegenerateInducedMetric, lambda i: (
-                        f"induced metric of {self.name!r} degenerate at u={us[i]}"))
+                        f"induced metric of {name!r} degenerate at u={us[i]}"))
         return InducedPointData(
             u=us,
             p=p,
@@ -172,14 +175,18 @@ class Embedding:
         v_tan = data.frame @ (data.gamma_inv @ w)
         return v_tan, v - v_tan
 
-    def volume(self, grid: GridSpec, allow_boundary=False):
-        """Quadrature of the induced volume density over the parameter box."""
+    def volume_nodes(self, grid: GridSpec, allow_boundary, name):
+        """Volume quadrature nodes and weights of the surface `name`."""
         if not self.closed and not allow_boundary:
             raise NotClosed(
-                f"embedding {self.name!r} is not closed; pass allow_boundary=True "
+                f"embedding {name!r} is not closed; pass allow_boundary=True "
                 "to integrate over the open parameter box anyway"
             )
-        points, weights = quadrature.grid_nodes(self.param_domain, self.periodic, grid)
+        return quadrature.grid_nodes(self.param_domain, self.periodic, grid)
+
+    def volume(self, grid: GridSpec, allow_boundary=False):
+        """Quadrature of the induced volume density over the parameter box."""
+        points, weights = self.volume_nodes(grid, allow_boundary, self.name)
         density, = quadrature.map_blocks(
             lambda us: (self.induced_block(us).vol_density,), points)
         return float(np.sum(weights * density))

@@ -47,6 +47,8 @@ class ExtrinsicData(NodeBundle):
     a block of them (see `InducedPointData`)."""
 
     base: InducedPointData
+    dg: np.ndarray               # d_rho g_{mu nu} at p
+    second_frame: np.ndarray     # d_a e_b^mu, as [mu, a, b]
     shape: np.ndarray            # K[mu, a, b], normal-valued, symmetric in (a, b)
     mean_curvature: np.ndarray   # H^mu = gamma^{ab} K^mu_{ab}
     h_norm2: float               # g(H, H)
@@ -58,7 +60,8 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     g and Phi are checked finite first, so a non-finite g(H, H) comes
     from a derivative."""
     data = E.induced_block(us)
-    gam = E.ambient.christoffel_block(data.p, g=data.g)
+    dg = E.ambient.partials_block(data.p)
+    gam = E.ambient.christoffel_block(data.p, g=data.g, dg=dg)
     hess = E.second_frame_block(data.u)
     # grad[mu, a, b] = d_a e_b^mu + Gamma^mu_{rho sigma} e_a^rho e_b^sigma
     gam_e = gam @ data.frame[:, None]                   # [k, mu, rho, b]
@@ -72,7 +75,8 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     h2 = np.einsum("km,kmn,kn->k", h_vec, data.g, h_vec)
     raise_first(~np.isfinite(h2), DerivativeFailure, lambda i: (
         f"g(H, H) of {E.name!r} not finite at u={data.u[i]}"))
-    return ExtrinsicData(base=data, shape=shape, mean_curvature=h_vec, h_norm2=h2)
+    return ExtrinsicData(base=data, dg=dg, second_frame=hess, shape=shape,
+                         mean_curvature=h_vec, h_norm2=h2)
 
 
 def extrinsic_data(E: Embedding, u) -> ExtrinsicData:

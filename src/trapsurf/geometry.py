@@ -200,11 +200,11 @@ class MetricField:
             return np.asarray(self.derivatives(points), dtype=float)
         return findiff.gradient(self.metric_block, points)
 
-    def christoffel_block(self, points, g=None):
-        """Gamma^mu_{rho sigma} at each point of a block; `g` is the metric
-        there when the caller already has it."""
+    def christoffel_block(self, points, g=None, dg=None):
+        """Gamma^mu_{rho sigma} at each point of a block; `g` and `dg` are
+        the metric and its partials there when the caller already has them."""
         g_inv = np.linalg.inv(self.metric_block(points) if g is None else g)
-        dg = self.partials_block(points)
+        dg = self.partials_block(points) if dg is None else dg
         # 1/2 g^{mu nu} (d_rho g_{nu sigma} + d_sigma g_{nu rho} - d_nu g_{rho sigma})
         bracket = (
             np.einsum("krns->knrs", dg)

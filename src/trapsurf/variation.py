@@ -2,6 +2,11 @@
 relating it to div(xi_tangential) + g(xi, H), the volume-variation
 integral with an independent flow-based oracle, and the conformal-Killing
 integral identity with its sign obstructions.
+
+The identity compares (1/2) tr_gamma of the pulled-back L_xi g with the
+coordinate divergence of xi's tangential part plus g(xi, H), both from one
+level of derivatives (dg, the frame and second frame, xi's jacobian); the
+flow oracle, which moves S and differences its volume, is the independent check.
 """
 
 from dataclasses import dataclass
@@ -11,8 +16,8 @@ import numpy as np
 from . import expressions, findiff, quadrature
 from .embedding import Embedding
 from .errors import FlowLeftChart, NotClosed, NotConformal, PointOutsideChart
-from .extrinsic import extrinsic_block, extrinsic_data
-from .geometry import MetricField, VectorField
+from .extrinsic import extrinsic_block
+from .geometry import MetricField, VectorField, as_point
 from .quadrature import GridSpec
 
 CONFORMAL_TOL = 1e-8
@@ -41,35 +46,39 @@ def first_variation_density(E: Embedding, xi: VectorField, u):
     return 0.5 * float(np.einsum("ab,ab->", data.gamma_inv, pulled))
 
 
-def _surface_divergence_block(E: Embedding, xi: VectorField, us, vol_density):
-    """div of the tangential pullback, (1/sqrt g) d_a (sqrt g bar-xi^a), at a
-    block of parameter points whose volume densities are `vol_density`, by
-    finite differences in parameter space (no second derivatives of the
-    induced metric); every node's stencil is evaluated in blocks."""
-
-    def density_flux(x):
-        data = E.induced_block(x)
-        xi_val = xi.value_block(data.p)[:, :, None]
-        w = np.swapaxes(data.frame, 1, 2) @ data.g @ xi_val   # w_b = g(e_b, xi)
-        return data.vol_density[:, None] * (data.gamma_inv @ w)[:, :, 0]
-
-    flux_gradient = findiff.gradient(density_flux, us)
-    return np.trace(flux_gradient, axis1=1, axis2=2) / vol_density
+def _identity_terms(xi: VectorField, ext):
+    """The identity's terms at each node of an extrinsic block: the div of
+    the tangential pullback, (1/sqrt g) d_a (sqrt g gamma^{ab} g(e_b, xi)),
+    by the product rule on one level of derivatives (d_a e_b, dg and xi's
+    jacobian; no stencil), and g(xi, H), from one evaluation of xi."""
+    e, g, gi, p = ext.base.frame, ext.base.g, ext.base.gamma_inv, ext.base.p
+    xi_val, xi_jac = xi.value_block(p), xi.jacobian_block(p)
+    ge = g @ e                                              # (g e_b)_mu
+    dg_e = np.einsum("kra,krmn->kamn", e, ext.dg)           # (d_a g)_{mu nu}
+    # d_a gamma_cd = g(d_a e_c, e_d) + g(e_c, d_a e_d) + (d_a g)(e_c, e_d)
+    hess_ge = np.einsum("kmac,kmd->kacd", ext.second_frame, ge)
+    d_gamma = (hess_ge + np.swapaxes(hess_ge, 2, 3)
+               + np.swapaxes(e, 1, 2)[:, None] @ dg_e @ e[:, None])
+    bar = np.einsum("kab,kmb,km->ka", gi, ge, xi_val)  # gamma^{ab} w_b, w_b = g(e_b, xi)
+    # d_a w_b = g(d_a e_b, xi) + (d_a g)(e_b, xi) + g(e_b, d_a xi)
+    d_w = (np.einsum("kmab,kmn,kn->kab", ext.second_frame, g, xi_val)
+           + np.einsum("kmb,kamn,kn->kab", e, dg_e, xi_val)
+           + np.einsum("kmb,kmr,kra->kab", ge, xi_jac, e))
+    div = (np.einsum("kcd,kacd,ka->k", 0.5 * gi, d_gamma, bar)  # (d_a log sqrt g) bar^a
+           - np.einsum("kac,kacd,kd->k", gi, d_gamma, bar)      # (d_a gamma^{ab}) w_b
+           + np.einsum("kab,kab->k", gi, d_w))                  # gamma^{ab} d_a w_b
+    return div, _flux(xi_val, ext)
 
 
 def rhs_identity(E: Embedding, xi: VectorField, u):
     """div(bar-xi) + g(xi, H); equals first_variation_density analytically."""
-    ext = extrinsic_data(E, u)
-    base = ext.base
-    div = _surface_divergence_block(E, xi, base.u[None], base.vol_density)
-    return float(div[0]) + float(xi.at(base.p) @ base.g @ ext.mean_curvature)
+    div, flux = _identity_terms(xi, extrinsic_block(E, as_point(u)[None]))
+    return float(div[0]) + float(flux[0])
 
 
-def _flux(xi: VectorField, ext):
-    """g(xi, H) at each node of an extrinsic block."""
-    base = ext.base
-    return np.einsum("km,kmn,kn->k", xi.value_block(base.p), base.g,
-                     ext.mean_curvature)
+def _flux(xi_val, ext):
+    """g(xi, H) at each node of an extrinsic block, from xi's values there."""
+    return np.einsum("km,kmn,kn->k", xi_val, ext.base.g, ext.mean_curvature)
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,8 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
     def terms(block):
         ext = extrinsic_block(E, block)
         dens = ext.base.vol_density
-        div = _surface_divergence_block(E, xi, block, dens)
-        return div * dens, _flux(xi, ext) * dens
+        div, flux = _identity_terms(xi, ext)
+        return div * dens, flux * dens
 
     div_vals, exp_vals = quadrature.map_blocks(terms, points)
     div_term = float(np.sum(weights * div_vals))
@@ -115,9 +124,10 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
 
 def flow_block(metric: MetricField, xi: VectorField, points, tau):
     """Transport each point of a block (N, D) along the flow of xi to
-    parameter time tau with one RK4 step.  Every stage point and end point
-    must lie in the metric's chart; FlowLeftChart names the first one that
-    does not."""
+    parameter time tau with one RK4 step.  For a 1-d array of T times the
+    flows are stacked time-major, (T * N, D), and the first stage, common to
+    all times, is evaluated once.  Every stage point and end point must lie
+    in the metric's chart; FlowLeftChart names the first one that does not."""
 
     def inside(x):
         try:
@@ -129,46 +139,38 @@ def flow_block(metric: MetricField, xi: VectorField, points, tau):
         return xi.value_block(inside(x))
 
     p = np.asarray(points, dtype=float)
-    k1 = rate(p)
-    k2 = rate(p + 0.5 * tau * k1)
-    k3 = rate(p + 0.5 * tau * k2)
-    k4 = rate(p + tau * k3)
-    return inside(p + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def flowed_embedding(E: Embedding, xi: VectorField, tau):
-    """The embedding of the flowed submanifold S_tau = phi_tau(S).
-
-    The composed map is differentiated numerically; no analytic jacobian
-    is carried over, keeping the oracle independent of the identity path.
-    """
-
-    @expressions.blockwise
-    def moved(us):
-        return flow_block(E.ambient, xi, E.point_block(us), tau)
-
-    return Embedding(
-        ambient=E.ambient,
-        dim=E.dim,
-        chart_map=moved,
-        param_domain=E.param_domain,
-        periodic=E.periodic,
-        closed=E.closed,
-        param_names=E.param_names,
-        name=f"{E.name}@tau={tau:g}",
-    )
+    times = np.atleast_1d(np.asarray(tau, dtype=float))
+    k1 = np.tile(rate(p), (len(times), 1))
+    t = np.repeat(times, len(p))[:, None]
+    p = np.tile(p, (len(times), 1))
+    k2 = rate(p + 0.5 * t * k1)
+    k3 = rate(p + 0.5 * t * k2)
+    k4 = rate(p + t * k3)
+    return inside(p + (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
                        allow_boundary=False):
-    """Central-difference dV/dtau from volumes of the flowed submanifolds."""
+    """Central-difference dV/dtau from the volumes of the flowed S_{+tau}
+    and S_{-tau}, whose frames are differentiated numerically (no analytic
+    jacobian, keeping the oracle independent of the identity path).  Phi and
+    the first RK4 stage at the nodes and stencil points serve both."""
     tau = flow.tau_step
-    v_plus = flowed_embedding(E, flow.field, +tau).volume(
-        grid, allow_boundary=allow_boundary
-    )
-    v_minus = flowed_embedding(E, flow.field, -tau).volume(
-        grid, allow_boundary=allow_boundary
-    )
+    names = [f"{E.name}@tau={t:g}" for t in (tau, -tau)]
+    points, weights = E.volume_nodes(grid, allow_boundary, names[0])
+
+    def flowed(x):
+        # Phi at parameter points (M, d) flowed to +tau and -tau: (M, 2, D)
+        moved = flow_block(E.ambient, flow.field, E.point_block(x), (tau, -tau))
+        return np.swapaxes(moved.reshape(2, len(x), -1), 0, 1)
+
+    def densities(us):
+        moved, frames = flowed(us), np.swapaxes(findiff.gradient(flowed, us), 1, 3)
+        return tuple(E.induced_from(us, moved[:, i], frames[:, :, i], names[i]).vol_density
+                     for i in (0, 1))
+
+    v_plus, v_minus = (float(np.sum(weights * dens))
+                       for dens in quadrature.map_blocks(densities, points))
     return (v_plus - v_minus) / (2.0 * tau)
 
 
@@ -234,7 +236,8 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec):
 
     def terms(block):
         ext = extrinsic_block(E, block)
-        return conformal.psi(ext.base.p), _flux(xi, ext), ext.base.vol_density
+        return (conformal.psi(ext.base.p), _flux(xi.value_block(ext.base.p), ext),
+                ext.base.vol_density)
 
     psi_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
     lhs = float(np.sum(weights * psi_vals * dens))

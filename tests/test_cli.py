@@ -199,6 +199,32 @@ def test_an_error_report_reaches_every_json_output(tmp_path, capsys):
     assert out_json.read_text() == err
 
 
+def test_an_error_removes_stale_csv_and_text_outputs(tmp_path, capsys):
+    out_json, out_csv, out_text = (tmp_path / f"s.{ext}" for ext in ("json", "csv", "txt"))
+    out_csv.write_text("stale,csv\n")
+    out_text.write_text("stale text\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "timelike_plane"},
+        "grid": {"points_per_axis": [4, 4]},
+        "outputs": [{"format": "text", "path": str(out_text)}],
+    }))
+    code, _, err = run(capsys, "classify", "--config", str(path),
+                       "--out-json", str(out_json), "--out-csv", str(out_csv))
+    assert code == 1
+    assert out_json.read_text() == err
+    assert not out_csv.exists() and not out_text.exists()
+
+
+@pytest.mark.parametrize("argv", [("--fd", "--seed", str(seed))
+                                  for seed in (20, 54, 64, 79, 132, 149)]
+                         + [("--seed", "288")])
+def test_eq3_seeds_near_poles_pass(capsys, argv):
+    code, out, _ = run(capsys, "verify", "eq3", *argv)
+    assert code == 0, out
+
+
 def _count_report_bodies(monkeypatch):
     calls = {"to_json": 0, "to_csv_rows": 0}
     for name in calls:
@@ -281,6 +307,20 @@ def test_verify_case_keys(tmp_path, capsys):
     (case,) = variation["cases"]
     assert set(case) == {"embedding", "field", "identity_value", "divergence_term",
                          "flow_oracle", "relative_difference", "passed"}
+    # a config draws no random pair, so its report has no seed
+    path, out_json = tmp_path / "run.json", tmp_path / "config-variation.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+        "grid": {"points_per_axis": [6, 6]},
+    }))
+    code, _, _ = run(capsys, "verify", "variation", "--config", str(path),
+                     "--out-json", str(out_json))
+    assert code == 0
+    config_variation = json.loads(out_json.read_text())
+    assert set(config_variation) == set(variation)
+    assert config_variation["seed"] is None
 
 
 def _inline_sphere_config():

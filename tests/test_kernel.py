@@ -15,9 +15,9 @@ from trapsurf.extrinsic import (classify_point, classify_submanifold, extrinsic_
 from trapsurf.geometry import MetricField, VectorField
 from trapsurf.quadrature import GridSpec, grid_nodes
 from trapsurf.sampling import random_polynomial_field
-from trapsurf.variation import FlowSpec, conformal_check, flow_volume_oracle, flowed_embedding
+from trapsurf.variation import FlowSpec, conformal_check, flow_volume_oracle
 
-from conftest import cat
+from conftest import cat, flowed_embedding
 
 EMBEDDINGS = tuple(e.name for e in catalog.list_entries() if e.kind == "embedding")
 SMALL_GRID = {1: (5,), 2: (3, 4), 3: (2, 2, 3)}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trapsurf.cli import EQ3_EMBEDDINGS
 from trapsurf.errors import FlowLeftChart, NotClosed, NotConformal
 from trapsurf.expressions import blockwise
 from trapsurf.geometry import VectorField, vector_field_from_expressions
@@ -21,7 +22,7 @@ from trapsurf.variation import (
     volume_variation,
 )
 
-from conftest import cat
+from conftest import cat, flowed_embedding
 
 MINK_COORDS = ("t", "x", "y", "z")
 
@@ -200,11 +201,44 @@ def test_flow_oracle_evaluates_the_field_on_blocks():
                                 grid)
     # dV/dtau = 2 V for the dilation, on the grid's own quadrature
     assert oracle == pytest.approx(2.0 * sphere.volume(grid), rel=1e-6)
-    # each flowed surface: one block of 16 nodes and one FD stencil block of
-    # 2 * 4 * 16 = 128 points, four RK4 stages each
-    blocks = 2 * (1 + 1)
-    assert len(shapes) <= 4 * blocks
-    assert all(len(shape) == 2 for shape in shapes)
+    # the 16 nodes, then their 2 * 4 * 16 = 128 stencil points: the first
+    # RK4 stage once for both flows, the other three on the stacked +tau
+    # and -tau points; 9 + 3 * 18 = 63 field rows per node
+    assert shapes == [(16, 4)] + [(32, 4)] * 3 + [(128, 4)] + [(256, 4)] * 3
+
+
+@pytest.mark.parametrize("name, allow_boundary", [
+    ("round_sphere", False), ("ring_torus", False), ("ef_sphere", False),
+    ("spacelike_plane", True)])
+def test_flow_oracle_equals_two_flowed_embeddings(name, allow_boundary):
+    rng = np.random.default_rng(23)
+    emb = cat(name)
+    xi = random_polynomial_field(rng, emb.ambient.dim)
+    # 288 nodes: two node blocks, and stencils over several evaluation blocks
+    grid, tau = GridSpec((12, 24)), 1e-4
+    v_plus, v_minus = (flowed_embedding(emb, xi, t).volume(
+        grid, allow_boundary=allow_boundary) for t in (tau, -tau))
+    oracle = flow_volume_oracle(emb, FlowSpec(xi, tau), grid,
+                                allow_boundary=allow_boundary)
+    assert oracle == (v_plus - v_minus) / (2.0 * tau)
+
+
+def test_flow_oracle_names_the_flowed_surface():
+    plane = cat("spacelike_plane")
+    with pytest.raises(NotClosed, match="spacelike_plane@tau=0.0001"):
+        flow_volume_oracle(plane, FlowSpec(cat("dilation"), 1e-4), GridSpec((4, 4)))
+
+
+def test_fd_fallback_matches_the_analytic_identity():
+    rng = np.random.default_rng(17)
+    for name in EQ3_EMBEDDINGS:
+        emb = cat(name)
+        fd = emb.without_analytic_derivatives()
+        for _ in range(30):
+            xi = random_polynomial_field(rng, emb.ambient.dim)
+            u = emb.random_parameter_point(rng)
+            analytic = rhs_identity(emb, xi, u)
+            assert abs(rhs_identity(fd, xi, u) - analytic) <= 1e-7 * (1.0 + abs(analytic))
 
 
 def test_conformal_check():
