@@ -15,7 +15,7 @@ print(f"{'r/M':>6} {'verdict':28} {'g(H,H) at a sample point':>26}")
 for radius in (0.5, 1.0, 1.5, 1.9, 2.0, 2.1, 3.0, 5.0):
     sphere = catalog.instantiate("ef_sphere", radius=radius)
     report = classify_submanifold(sphere, GRID)
-    h2 = report.labels[0].h_norm2
+    h2 = report.columns.h_norm2[0]
     print(f"{radius:6.2f} {report.verdict:28} {h2:26.6e}")
 
 print()

@@ -8,8 +8,6 @@ from .embedding import Embedding, GridSpec, InducedPointData, embedding_from_exp
 from .extrinsic import (
     ClassificationReport,
     ExtrinsicData,
-    PointLabel,
-    classify_point,
     classify_submanifold,
     expansion,
     extrinsic_data,
@@ -50,11 +48,9 @@ __all__ = [
     "InducedPointData",
     "KillingIntegralResult",
     "MetricField",
-    "PointLabel",
     "TimeOrientation",
     "VectorField",
     "catalog",
-    "classify_point",
     "classify_submanifold",
     "conformal_check",
     "embedding_from_expressions",

@@ -189,9 +189,8 @@ def _verify_eq3(args, config):
         emb = embeddings[rng.integers(len(embeddings))]
         xi = random_polynomial_field(rng, emb.ambient.dim)
         u = emb.random_parameter_point(rng)
-        lhs = variation.first_variation_density(emb, xi, u)
-        rhs = variation.rhs_identity(emb, xi, u)
-        worst = max(worst, float(abs(lhs - rhs)))
+        lhs, rhs = variation.identity_sides(emb, xi, u[None])
+        worst = max(worst, float(abs(lhs[0] - rhs[0])))
     report = {
         "schema": "report_v1",
         "kind": "eq3",

@@ -8,9 +8,8 @@ along xi (see the variation module).
 
 A classification keeps its per-node results as arrays (`LabelColumns`)
 from the grid kernel to the report files, written in the layout of
-json.dumps(..., indent=2, sort_keys=True); `report.labels` is a per-node
-PointLabel view built on demand.  Geometry that is not finite at a node
-raises a typed error, so no report holds a NaN.
+json.dumps(..., indent=2, sort_keys=True).  Geometry that is not finite
+at a node raises a typed error, so no report holds a NaN.
 """
 
 import json
@@ -22,8 +21,8 @@ import numpy as np
 from . import quadrature
 from .embedding import Embedding, InducedPointData, NodeBundle
 from .errors import DerivativeFailure, NotNormal, NotSpacelike
-from .geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
-                       TimeOrientation, as_point, causal_label, raise_first)
+from .geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, as_point,
+                       causal_label, raise_first)
 from .quadrature import GridSpec
 
 NORMAL_TOL = 1e-6
@@ -148,42 +147,26 @@ def null_normal_pair(E: Embedding, u, outward):
     return l_b, l_a
 
 
-@dataclass(frozen=True)
-class PointLabel:
-    """Causal label of H at one grid point."""
-
-    u: np.ndarray
-    causal: Causal
-    time: TimeOrientation
-    h_norm2: float
-    ref_norm: float   # positive-definite reference norm of H
-    margin: float     # |g(H,H)|/scale - tol, distance from the null band
-    theta: float = None  # only in codimension 1
-
-
 class LabelColumns(NamedTuple):
-    """The per-node labels of a block or grid as arrays over its nodes,
-    in PointLabel's field order; causal and time are integer codes into
-    geometry's _CAUSAL_CODES and _TIME_CODES."""
+    """The causal label of H at each node of a block or grid, as arrays
+    over its nodes; causal and time are integer codes into geometry's
+    _CAUSAL_CODES and _TIME_CODES."""
 
     u: np.ndarray
     causal: np.ndarray
     time: np.ndarray
     h_norm2: np.ndarray
-    ref_norm: np.ndarray
-    margin: np.ndarray
-    theta: np.ndarray = None
-
-    def point_labels(self):
-        """One PointLabel per node."""
-        theta = [None] * len(self.u) if self.theta is None else self.theta.tolist()
-        return tuple(map(PointLabel, self.u, _CAUSAL_CODES[self.causal],
-                         _TIME_CODES[self.time], self.h_norm2.tolist(),
-                         self.ref_norm.tolist(), self.margin.tolist(), theta))
+    ref_norm: np.ndarray     # positive-definite reference norm of H
+    margin: np.ndarray       # |g(H,H)|/scale - tol, distance from the null band
+    theta: np.ndarray = None  # only in codimension 1
 
 
 def _classify_block(E: Embedding, us, tol):
-    """Label columns at a block of parameter points."""
+    """Label columns at a block of parameter points.
+
+    Requires the submanifold to be spacelike at every node (gamma positive
+    definite) and a Lorentzian ambient with a time orientation.
+    """
     ext = extrinsic_block(E, us)
     data = ext.base
     raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
@@ -209,15 +192,6 @@ def _classify_block(E: Embedding, us, tol):
     return LabelColumns(data.u, causal, time, ext.h_norm2, ref_norm, margin, theta)
 
 
-def classify_point(E: Embedding, u) -> PointLabel:
-    """Causal character of the mean curvature vector at one point.
-
-    Requires the submanifold to be spacelike at u (gamma positive
-    definite) and a Lorentzian ambient with a time orientation.
-    """
-    return _classify_block(E, as_point(u)[None], NULL_BAND_TOL).point_labels()[0]
-
-
 # the report strings of the label codes
 _CAUSAL_NAMES = np.array([c.value for c in _CAUSAL_CODES])
 _TIME_NAMES = np.array([t.value for t in _TIME_CODES])
@@ -237,11 +211,6 @@ class ClassificationReport:
     metric_name: str = ""
     embedding_name: str = ""
     notes: tuple = ()
-
-    @property
-    def labels(self):
-        """The per-node PointLabel view, built on each access."""
-        return self.columns.point_labels()
 
     def to_json(self):
         """The report as JSON text, laid out as json.dumps(..., indent=2,

@@ -65,6 +65,15 @@ def causal_label(v, g, absg, t_vec, tol=NULL_BAND_TOL):
     return codes, time
 
 
+def lie_derivative(g, dg, xi_val, xi_jac):
+    """(Lie_xi g)_{mu nu} at each node from arrays at the nodes: g (N, D, D),
+    dg[k, rho, mu, nu] = d_rho g_{mu nu}, xi^rho (N, D) and its jacobian
+    J[k, rho, mu] = d_mu xi^rho."""
+    term0 = np.einsum("kr,krmn->kmn", xi_val, dg)
+    term1 = np.einsum("krn,krm->kmn", g, xi_jac)
+    return term0 + term1 + np.swapaxes(term1, -1, -2)
+
+
 def as_point(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or not np.all(np.isfinite(p)):
@@ -228,19 +237,6 @@ class MetricField:
         if self.time_orientation is None:
             raise ValueError("causal classification requires a time orientation")
         return np.asarray(self.time_orientation(as_points(points)), dtype=float)
-
-    def lie_derivative_block(self, xi: VectorField, points, g=None):
-        """(Lie_xi g)_{mu nu} at each point of a block; `g` as in
-        christoffel_block."""
-        points = self._check_chart(points)
-        if g is None:
-            g = self.metric_block(points)
-        dg = self.partials_block(points)
-        xi_val = xi.value_block(points)
-        jac = xi.jacobian_block(points)  # J[k, rho, mu] = d_mu xi^rho
-        term0 = np.einsum("kr,krmn->kmn", xi_val, dg)
-        term1 = np.einsum("krn,krm->kmn", g, jac)
-        return term0 + term1 + np.swapaxes(term1, -1, -2)
 
     def without_analytic_derivatives(self):
         return replace(self, derivatives=None)

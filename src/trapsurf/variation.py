@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expressions, findiff, quadrature
+from . import findiff, quadrature
 from .embedding import Embedding
 from .errors import FlowLeftChart, NotClosed, NotConformal, PointOutsideChart
 from .extrinsic import extrinsic_block
-from .geometry import MetricField, VectorField, as_point
+from .geometry import MetricField, VectorField, as_point, lie_derivative
 from .quadrature import GridSpec
 
 CONFORMAL_TOL = 1e-8
@@ -37,22 +37,33 @@ class FlowSpec:
             raise ValueError("need tau_step > 0")
 
 
+def _lie_trace(data, dg, xi_val, xi_jac):
+    """(1/2) tr_gamma of the pullback of Lie_xi g at each node of an induced
+    block, from dg and xi's values and jacobian there."""
+    e = data.frame
+    pulled = np.swapaxes(e, 1, 2) @ lie_derivative(data.g, dg, xi_val, xi_jac) @ e
+    return 0.5 * np.einsum("kab,kab->k", data.gamma_inv, pulled)
+
+
 def first_variation_density(E: Embedding, xi: VectorField, u):
     """(1/2) tr_gamma of the pullback of Lie_xi g: the logarithmic rate of
-    change of the induced volume element along the flow of xi."""
-    data = E.induced(u)
-    lie = E.ambient.lie_derivative_block(xi, data.p[None], g=data.g[None])[0]
-    pulled = data.frame.T @ lie @ data.frame
-    return 0.5 * float(np.einsum("ab,ab->", data.gamma_inv, pulled))
+    change of the induced volume element along the flow of xi.  The N = 1
+    case of identity_sides' left side, from the induced bundle and dg
+    alone (no K)."""
+    data = E.induced_block(as_point(u)[None])
+    p = data.p
+    lhs = _lie_trace(data, E.ambient.partials_block(p), xi.value_block(p),
+                     xi.jacobian_block(p))
+    return float(lhs[0])
 
 
-def _identity_terms(xi: VectorField, ext):
-    """The identity's terms at each node of an extrinsic block: the div of
-    the tangential pullback, (1/sqrt g) d_a (sqrt g gamma^{ab} g(e_b, xi)),
-    by the product rule on one level of derivatives (d_a e_b, dg and xi's
-    jacobian; no stencil), and g(xi, H), from one evaluation of xi."""
-    e, g, gi, p = ext.base.frame, ext.base.g, ext.base.gamma_inv, ext.base.p
-    xi_val, xi_jac = xi.value_block(p), xi.jacobian_block(p)
+def _identity_terms(xi_val, xi_jac, ext):
+    """The identity's terms at each node of an extrinsic block, given xi's
+    values and jacobian there: the div of the tangential pullback,
+    (1/sqrt g) d_a (sqrt g gamma^{ab} g(e_b, xi)), by the product rule on
+    one level of derivatives (d_a e_b, dg and xi's jacobian; no stencil),
+    and g(xi, H)."""
+    e, g, gi = ext.base.frame, ext.base.g, ext.base.gamma_inv
     ge = g @ e                                              # (g e_b)_mu
     dg_e = np.einsum("kra,krmn->kamn", e, ext.dg)           # (d_a g)_{mu nu}
     # d_a gamma_cd = g(d_a e_c, e_d) + g(e_c, d_a e_d) + (d_a g)(e_c, e_d)
@@ -70,10 +81,20 @@ def _identity_terms(xi: VectorField, ext):
     return div, _flux(xi_val, ext)
 
 
+def identity_sides(E: Embedding, xi: VectorField, us):
+    """Both sides of the volume-element identity at a block of parameter
+    points (N, d): (1/2) tr_gamma of the pulled-back Lie_xi g, and
+    div(bar-xi) + g(xi, H), from one extrinsic block and one evaluation of
+    xi."""
+    ext = extrinsic_block(E, us)
+    xi_val, xi_jac = xi.value_block(ext.base.p), xi.jacobian_block(ext.base.p)
+    div, flux = _identity_terms(xi_val, xi_jac, ext)
+    return _lie_trace(ext.base, ext.dg, xi_val, xi_jac), div + flux
+
+
 def rhs_identity(E: Embedding, xi: VectorField, u):
     """div(bar-xi) + g(xi, H); equals first_variation_density analytically."""
-    div, flux = _identity_terms(xi, extrinsic_block(E, as_point(u)[None]))
-    return float(div[0]) + float(flux[0])
+    return float(identity_sides(E, xi, as_point(u)[None])[1][0])
 
 
 def _flux(xi_val, ext):
@@ -94,22 +115,19 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
                      allow_boundary=False):
     """First variation of volume along xi by quadrature of the identity.
 
-    For closed submanifolds the divergence term integrates to ~0 and is
-    reported as a diagnostic; with `allow_boundary` the integral is taken
-    over the open box and the divergence term is an unverified boundary
-    contribution.
+    The divergence term is reported as a diagnostic.  It integrates to ~0
+    only for a field that is smooth on a closed S: a chart polynomial that
+    is not periodic on S can make it dominate (on `verify variation --seed
+    4`'s failing ef_sphere case it is 89.4 of a total of -3.25).  With
+    `allow_boundary` the integral is taken over the open box and the
+    divergence term is an unverified boundary contribution.
     """
-    if not E.closed and not allow_boundary:
-        raise NotClosed(
-            f"embedding {E.name!r} is not closed; pass allow_boundary=True to "
-            "accept an unverified boundary term"
-        )
-    points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
+    points, weights = E.volume_nodes(grid, allow_boundary, E.name)
 
     def terms(block):
         ext = extrinsic_block(E, block)
-        dens = ext.base.vol_density
-        div, flux = _identity_terms(xi, ext)
+        dens, p = ext.base.vol_density, ext.base.p
+        div, flux = _identity_terms(xi.value_block(p), xi.jacobian_block(p), ext)
         return div * dens, flux * dens
 
     div_vals, exp_vals = quadrature.map_blocks(terms, points)
@@ -178,7 +196,7 @@ def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
 class ConformalData:
     """Conformal factor samples and the residual of Lie_xi g = 2 Psi g."""
 
-    psi: object            # callable on blocks of points (N, D) -> Psi (N,)
+    psi: np.ndarray        # Psi at the sample points (N,)
     residual: float
 
     @property
@@ -186,22 +204,20 @@ class ConformalData:
         return self.residual < CONFORMAL_TOL
 
 
+def _psi(g, lie):
+    """Psi = tr(Lie_xi g) / (2 D) at each node."""
+    return np.einsum("kmn,kmn->k", np.linalg.inv(g), lie) / (2.0 * g.shape[-1])
+
+
 def conformal_check(metric: MetricField, xi: VectorField, sample_points):
-    """Extract Psi = tr(Lie_xi g) / (2 D) and measure the conformal residual."""
-    dim = metric.dim
-
-    def psi_and_lie(points):
-        g = metric.metric_block(points)
-        lie = metric.lie_derivative_block(xi, points, g=g)
-        return np.einsum("kmn,kmn->k", np.linalg.inv(g), lie) / (2.0 * dim), lie, g
-
-    @expressions.blockwise
-    def psi(points):
-        return psi_and_lie(points)[0]
-
-    values, lie, g = psi_and_lie(np.asarray(sample_points, dtype=float))
-    dev = lie - (2.0 * values)[:, None, None] * g
-    residual = float(np.abs(dev).max(initial=0.0))
+    """Psi = tr(Lie_xi g) / (2 D) at a block of sample points and the
+    residual of Lie_xi g = 2 Psi g there."""
+    points = np.asarray(sample_points, dtype=float)
+    g = metric.metric_block(points)
+    lie = lie_derivative(g, metric.partials_block(points), xi.value_block(points),
+                         xi.jacobian_block(points))
+    psi = _psi(g, lie)
+    residual = float(np.abs(lie - (2.0 * psi)[:, None, None] * g).max(initial=0.0))
     return ConformalData(psi=psi, residual=residual)
 
 
@@ -236,8 +252,9 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec):
 
     def terms(block):
         ext = extrinsic_block(E, block)
-        return (conformal.psi(ext.base.p), _flux(xi.value_block(ext.base.p), ext),
-                ext.base.vol_density)
+        xi_val, xi_jac = xi.value_block(ext.base.p), xi.jacobian_block(ext.base.p)
+        lie = lie_derivative(ext.base.g, ext.dg, xi_val, xi_jac)
+        return _psi(ext.base.g, lie), _flux(xi_val, ext), ext.base.vol_density
 
     psi_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
     lhs = float(np.sum(weights * psi_vals * dens))

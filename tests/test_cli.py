@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trapsurf import cli
+from trapsurf.embedding import Embedding
 from trapsurf.extrinsic import ClassificationReport
 
 
@@ -273,7 +274,7 @@ def test_verify_counts_and_random_options_are_checked(tmp_path, monkeypatch, cap
         raise AssertionError("a case ran")
 
     monkeypatch.setattr(cli.variation, "volume_variation", no_runs)
-    monkeypatch.setattr(cli.variation, "first_variation_density", no_runs)
+    monkeypatch.setattr(cli.variation, "identity_sides", no_runs)
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "schema_version": 1,
@@ -473,6 +474,20 @@ def test_verify_eq3(tmp_path, capsys):
     assert report["kind"] == "eq3"
     assert report["passed"] is True
     assert report["max_residual"] < 1e-6
+
+
+def test_verify_eq3_builds_one_bundle_per_triple(monkeypatch, capsys):
+    blocks = []
+    induced_block = Embedding.induced_block
+
+    def counted(self, us):
+        blocks.append(len(us))
+        return induced_block(self, us)
+
+    monkeypatch.setattr(Embedding, "induced_block", counted)
+    code, _, _ = run(capsys, "verify", "eq3", "--triples", "50")
+    assert code == 0
+    assert blocks == [1] * 50
 
 
 def test_verify_eq3_finite_difference(capsys):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (
     LabelColumns,
     _categories,
-    classify_point,
+    _classify_block,
     classify_submanifold,
     expansion,
     extrinsic_data,
@@ -21,7 +22,8 @@ from trapsurf.extrinsic import (
     null_normal_pair,
     second_fundamental_form,
 )
-from trapsurf.geometry import Causal, MetricField, TimeOrientation
+from trapsurf.geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
+                               MetricField, TimeOrientation)
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -181,20 +183,36 @@ def test_null_normal_pair_requires_spacelike_codim2():
         null_normal_pair(cat("straight_line"), [0.5], [0, 1, 0, 0])
 
 
+def _node_labels(cols):
+    """An independent per-node reference of label columns: one record per
+    node, its causal and time codes decoded one by one."""
+    return [SimpleNamespace(
+        u=cols.u[i], causal=_CAUSAL_CODES[cols.causal[i]], time=_TIME_CODES[cols.time[i]],
+        h_norm2=float(cols.h_norm2[i]), ref_norm=float(cols.ref_norm[i]),
+        margin=float(cols.margin[i]),
+        theta=None if cols.theta is None else float(cols.theta[i]))
+        for i in range(len(cols.u))]
+
+
+def _classify_point(E, u):
+    """The label at one parameter point: the N = 1 case of the grid kernel."""
+    return _node_labels(_classify_block(E, np.array([u], dtype=float), NULL_BAND_TOL))[0]
+
+
 def test_classify_point_examples():
     u = [1.0, 1.0]
-    lab = classify_point(cat("ef_sphere", radius=1.0), u)
+    lab = _classify_point(cat("ef_sphere", radius=1.0), u)
     assert (lab.causal, lab.time) == (Causal.TIMELIKE, TimeOrientation.FUTURE)
-    lab = classify_point(cat("ef_sphere", radius=2.0), u)
+    lab = _classify_point(cat("ef_sphere", radius=2.0), u)
     assert (lab.causal, lab.time) == (Causal.NULL, TimeOrientation.FUTURE)
-    lab = classify_point(cat("ef_sphere", radius=3.0), u)
+    lab = _classify_point(cat("ef_sphere", radius=3.0), u)
     assert lab.causal is Causal.SPACELIKE
-    lab = classify_point(cat("round_sphere"), u)
+    lab = _classify_point(cat("round_sphere"), u)
     assert lab.causal is Causal.SPACELIKE
-    lab = classify_point(cat("flat_torus"), u)
+    lab = _classify_point(cat("flat_torus"), u)
     assert lab.causal is Causal.ZERO
     with pytest.raises(NotSpacelike):
-        classify_point(cat("timelike_plane"), [0.2, 0.2])
+        _classify_point(cat("timelike_plane"), [0.2, 0.2])
 
 
 def test_node_geometry_is_evaluated_once(monkeypatch):
@@ -216,7 +234,7 @@ def test_node_geometry_is_evaluated_once(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapped)
     report = classify_submanifold(counted, GridSpec((4, 8)))
-    assert len(report.labels) == 32
+    assert len(report.columns.u) == 32
     # one batched evaluation of g serves the frame, |g|, Christoffels and labels
     assert blocks == [(32, 4)]
     assert calls == {"at": 0, "decompose": 1}
@@ -250,8 +268,7 @@ def test_expanding_hypersurface_is_past_trapped():
     report = classify_submanifold(emb, GridSpec((4, 4, 4)))
     assert report.verdict == "PastTrapped"
     assert any("hypersurface" in note for note in report.notes)
-    for lab in report.labels:
-        assert lab.theta == pytest.approx(-1.5, abs=1e-9)
+    assert report.columns.theta == pytest.approx(np.full(64, -1.5), abs=1e-9)
 
 
 def test_h_norm2_monotone_toward_horizon():
@@ -317,12 +334,13 @@ WRITER_REPORTS = {
 @pytest.mark.parametrize("name", WRITER_REPORTS)
 def test_report_json_and_csv_are_written_from_the_columns(name):
     report = WRITER_REPORTS[name]()
-    # JSON: the stdlib layout, holding the values of the per-node view
+    # JSON: the stdlib layout, holding the values of the per-node reference
     text = report.to_json()
     data = json.loads(text)
     assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    labels = _node_labels(report.columns)
     expected = []
-    for lab in report.labels:
+    for lab in labels:
         point = {"causal": lab.causal.value, "h_norm2": lab.h_norm2,
                  "margin": lab.margin, "time": lab.time.value, "u": lab.u.tolist()}
         if lab.theta is not None:
@@ -343,7 +361,7 @@ def test_report_json_and_csv_are_written_from_the_columns(name):
     assert rows == [
         [*map(repr, u), repr(h2), f"{lab.causal.value}/{lab.time.value}", repr(m)]
         for u, h2, m, lab in zip(cols.u.tolist(), cols.h_norm2.tolist(),
-                                 cols.margin.tolist(), report.labels)
+                                 cols.margin.tolist(), labels)
     ]
 
 
@@ -368,4 +386,4 @@ def test_categories_follow_the_pointwise_rules():
     zeros = np.zeros(len(causal))
     cols = LabelColumns(np.zeros((len(causal), 2)), causal, time, zeros, ref_norm, zeros)
     assert _categories(cols, tol).tolist() == [
-        _point_category(lab, tol) for lab in cols.point_labels()]
+        _point_category(lab, tol) for lab in _node_labels(cols)]

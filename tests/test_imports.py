@@ -1,9 +1,12 @@
-"""No library module imports a name at module level that it never uses."""
+"""No library module imports a name at module level that it never uses,
+and the package exports exactly what its __init__ imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import trapsurf
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trapsurf"
 # __init__.py imports names to re-export them
@@ -27,3 +30,12 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_exactly_its_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(trapsurf.__all__) == sorted(imported)
+    for name in trapsurf.__all__:
+        assert getattr(trapsurf, name) is not None, name

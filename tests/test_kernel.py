@@ -10,12 +10,12 @@ from trapsurf import catalog
 from trapsurf.embedding import embedding_from_expressions
 from trapsurf.errors import NotSpacelike, PointOutsideChart
 from trapsurf.expressions import blockwise
-from trapsurf.extrinsic import (classify_point, classify_submanifold, extrinsic_block,
+from trapsurf.extrinsic import (_classify_block, classify_submanifold, extrinsic_block,
                                 extrinsic_data)
-from trapsurf.geometry import MetricField, VectorField
+from trapsurf.geometry import NULL_BAND_TOL, MetricField, VectorField
 from trapsurf.quadrature import GridSpec, grid_nodes
 from trapsurf.sampling import random_polynomial_field
-from trapsurf.variation import FlowSpec, conformal_check, flow_volume_oracle
+from trapsurf.variation import FlowSpec, flow_volume_oracle
 
 from conftest import cat, flowed_embedding
 
@@ -53,12 +53,12 @@ def test_grid_larger_than_a_block_matches_single_labels():
     emb = cat("ef_sphere", radius=2.0)
     points, _ = grid_nodes(emb.param_domain, emb.periodic, GridSpec((24, 24)))
     assert len(points) > 256
-    report = classify_submanifold(emb, GridSpec((24, 24)))
-    for lab, u in zip(report.labels, points):
-        single = classify_point(emb, u)
-        assert np.array_equal(lab.u, u)
-        assert (lab.causal, lab.time) == (single.causal, single.time)
-        assert lab.h_norm2 == pytest.approx(single.h_norm2, rel=1e-12, abs=1e-15)
+    cols = classify_submanifold(emb, GridSpec((24, 24))).columns
+    assert np.array_equal(cols.u, points)
+    for i, u in enumerate(points):
+        single = _classify_block(emb, u[None], NULL_BAND_TOL)
+        assert (cols.causal[i], cols.time[i]) == (single.causal[0], single.time[0])
+        assert cols.h_norm2[i] == pytest.approx(single.h_norm2[0], rel=1e-12, abs=1e-15)
 
 
 def _first_failing_node(emb, grid, failing):
@@ -114,8 +114,9 @@ def test_callables_only_ever_see_blocks():
     assert np.array_equal(emb.point(u), sphere.point(u))
     assert np.array_equal(field.at(p), xi.at(p))
     assert np.array_equal(metric.at(p), mink.at(p))
-    label, expected = classify_point(emb, u), classify_point(sphere, u)
-    assert (label.causal, label.h_norm2) == (expected.causal, expected.h_norm2)
+    label, expected = (_classify_block(e, u[None], NULL_BAND_TOL) for e in (emb, sphere))
+    assert np.array_equal(label.causal, expected.causal)
+    assert np.array_equal(label.h_norm2, expected.h_norm2)
     grid = GridSpec((4, 4))
     assert (flow_volume_oracle(emb, FlowSpec(field, 1e-4), grid)
             == flow_volume_oracle(sphere, FlowSpec(xi, 1e-4), grid))
@@ -143,5 +144,3 @@ def test_library_objects_are_natively_blockwise():
     objects += [xi, flowed_embedding(sphere, xi, 1e-4)]
     for obj in objects:
         assert _lifted(obj) == [], obj.name
-    psi = conformal_check(sphere.ambient, cat("dilation"), np.ones((1, 4))).psi
-    assert not psi.__qualname__.startswith("lift.")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,18 +249,18 @@ def test_conformal_check():
 
     res = conformal_check(mink, cat("dilation"), sample)
     assert res.accepted and res.residual < 1e-12
-    assert res.psi(sample) == pytest.approx(np.ones(8), abs=1e-12)
+    assert res.psi == pytest.approx(np.ones(8), abs=1e-12)
 
     res = conformal_check(mink, cat("time_translation"), sample)
     assert res.accepted
-    assert res.psi(sample) == pytest.approx(np.zeros(8), abs=1e-12)
+    assert res.psi == pytest.approx(np.zeros(8), abs=1e-12)
 
     rw = cat("robertson_walker", scale="t")
     rw_sample = [np.array([1.0 + 2.0 * rng.random(), *rng.normal(size=3)])
                  for _ in range(8)]
     res = conformal_check(rw, cat("rw_conformal", scale="t"), rw_sample)
     assert res.accepted
-    assert res.psi(rw_sample) == pytest.approx(np.ones(8), abs=1e-10)
+    assert res.psi == pytest.approx(np.ones(8), abs=1e-10)
 
     shear = vector_field_from_expressions(MINK_COORDS, ["0", "x**2", "0", "0"])
     res = conformal_check(mink, shear, sample)
@@ -278,6 +279,32 @@ def test_killing_integral_identity_expanding_universe():
     area = emb.volume(GridSpec((24, 24)))
     assert res.lhs == pytest.approx(area, rel=1e-10)
     assert res.flux == pytest.approx(2.0 * area, rel=1e-8)
+
+
+def _row_counted(fn, rows, key):
+    """fn, adding the number of points of each block it sees to rows[key]."""
+    @blockwise
+    def counted(points):
+        rows[key] += len(points)
+        return fn(points)
+
+    return counted
+
+
+def test_killing_integral_reads_the_node_bundle():
+    # Psi and g(xi, H) at the nodes come from the extrinsic block's g and
+    # dg and one evaluation of xi; only the conformal samples add rows
+    emb, xi = cat("comoving_sphere_rw"), cat("rw_conformal", scale="t")
+    rows = {"components": 0, "value": 0}
+    counted = replace(emb, ambient=replace(emb.ambient, components=_row_counted(
+        emb.ambient.components, rows, "components")))
+    counted_xi = replace(xi, value=_row_counted(xi.value, rows, "value"))
+    grid = GridSpec((24, 24))
+    res = killing_integral_check(counted, counted_xi, grid)
+    nodes, samples = 576, 16
+    assert nodes > 256  # more than one block
+    assert rows == {"components": nodes + samples, "value": nodes + samples}
+    assert res == killing_integral_check(emb, xi, grid)
 
 
 def test_killing_integral_identity_flat_killing_fields():
