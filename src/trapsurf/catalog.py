@@ -19,7 +19,6 @@ from .geometry import metric_from_expressions, vector_field_from_expressions
 TWO_PI = 2.0 * math.pi
 
 _RW_SCALE_FACTORS = {"t": "t", "t2": "t**2", "const": "1"}
-_RW_SCALE_RATES = {"t": "1", "t2": "2*t", "const": "0"}
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)
 
     def resolve_params(self, overrides):
+        """Each parameter's override, else its default, checked by name: a
+        number may come as its text, but not as a bool nor non-finite."""
         known = {p.name: p for p in self.params}
         for key in overrides:
             if key not in known:
@@ -51,21 +52,22 @@ class CatalogEntry:
         values = {}
         for spec in self.params:
             val = overrides.get(spec.name, spec.default)
+            where = f"{self.name}.{spec.name}"
             if spec.choices is not None:
                 if val not in spec.choices:
-                    raise ParamOutOfRange(
-                        f"{self.name}.{spec.name}={val!r} not in {spec.choices}"
-                    )
+                    raise ParamOutOfRange(f"{where}={val!r} not in {spec.choices}")
             else:
-                val = float(val)
+                try:
+                    number = math.nan if isinstance(val, bool) else float(val)
+                except (TypeError, ValueError):
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise ParamOutOfRange(f"{where}={val!r} must be a finite number")
+                val = number
                 if spec.lo is not None and val <= spec.lo:
-                    raise ParamOutOfRange(
-                        f"{self.name}.{spec.name}={val} must be > {spec.lo}"
-                    )
+                    raise ParamOutOfRange(f"{where}={val} must be > {spec.lo}")
                 if spec.hi is not None and val >= spec.hi:
-                    raise ParamOutOfRange(
-                        f"{self.name}.{spec.name}={val} must be < {spec.hi}"
-                    )
+                    raise ParamOutOfRange(f"{where}={val} must be < {spec.hi}")
             values[spec.name] = val
         return values
 

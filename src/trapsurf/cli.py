@@ -72,7 +72,8 @@ def _csv_text(rows):
 
 
 def parse_catalog_ref(text):
-    """'name:key=value,key=value' -> ObjectRef-style dict."""
+    """'name:key=value,key=value' -> ObjectRef-style dict; the values stay
+    text, which the catalog entry converts and checks."""
     name, _, rest = text.partition(":")
     params = {}
     if rest:
@@ -80,15 +81,7 @@ def parse_catalog_ref(text):
             key, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"bad parameter syntax {item!r} in {text!r}")
-            entry = catalog.get_entry(name)
-            spec = next((p for p in entry.params if p.name == key.strip()), None)
-            if spec is not None and spec.choices is not None:
-                params[key.strip()] = value.strip()
-            else:
-                try:
-                    params[key.strip()] = float(value)
-                except ValueError:
-                    params[key.strip()] = value.strip()
+            params[key.strip()] = value.strip()
     return {"catalog": name, "params": params}
 
 
@@ -174,9 +167,14 @@ def _verify_cases(args, config, default_cases, points, evaluate, describe):
     return {"cases": results, "passed": ok}, text, EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _at_least(option, value, least):
+    if value < least:
+        raise ConfigError(f"{option} must be at least {least}, got {value}")
+
+
 def _verify_eq3(args, config):
-    if args.triples < 1:
-        raise ConfigError(f"--triples must be at least 1, got {args.triples}")
+    _at_least("--triples", args.triples, 1)
+    _at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     triples = args.triples
     tol = 1e-4 if args.fd else 1e-6
@@ -238,8 +236,9 @@ def _verify_variation(args, config):
                           "without --config")
     pairs = 20 if args.pairs is None else args.pairs
     seed = None if config else (0 if args.seed is None else args.seed)
-    if pairs < 1:
-        raise ConfigError(f"--pairs must be at least 1, got {pairs}")
+    _at_least("--pairs", pairs, 1)
+    if seed is not None:
+        _at_least("--seed", seed, 0)
 
     def default_cases():
         rng = np.random.default_rng(seed)

@@ -162,14 +162,10 @@ class Embedding:
         """Frame, induced metric, inverse and volume density at u."""
         return self.induced_block(as_point(u)[None]).node(0)
 
-    def decompose(self, u, v, data=None):
-        """Split ambient vectors at Phi(u) into (tangent, normal) parts.
-
-        `v` is one vector (D,) or a block of column vectors (D, k); with
-        `data` from `induced_block`, it is (N, D, k), one block per node.
-        """
-        if data is None:
-            data = self.induced(u)
+    def decompose(self, v, data):
+        """Split ambient vectors into (tangent, normal) parts at induced
+        `data`: one vector (D,) or column vectors (D, k) at one point, or
+        (N, D, k) at the nodes of a block from `induced_block`."""
         v = np.asarray(v, dtype=float)
         w = np.swapaxes(data.frame, -1, -2) @ data.g @ v    # w_b = g(e_b, v)
         v_tan = data.frame @ (data.gamma_inv @ w)

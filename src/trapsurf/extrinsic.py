@@ -27,18 +27,6 @@ from .quadrature import GridSpec
 
 NORMAL_TOL = 1e-6
 
-VERDICTS = (
-    "FutureTrapped",
-    "PastTrapped",
-    "NearlyFutureTrapped",
-    "NearlyPastTrapped",
-    "MarginallyFutureTrapped",
-    "MarginallyPastTrapped",
-    "Extremal",
-    "AbsolutelyNonTrapped",
-    "Mixed",
-)
-
 
 @dataclass(frozen=True)
 class ExtrinsicData(NodeBundle):
@@ -67,7 +55,7 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     grad = hess + np.swapaxes(data.frame, 1, 2)[:, None] @ gam_e
     # project the a <= b entries in one block and mirror them
     a, b = np.triu_indices(E.dim)
-    _, normal = E.decompose(data.u, grad[:, :, a, b], data=data)
+    _, normal = E.decompose(grad[:, :, a, b], data)
     shape = np.empty_like(grad)
     shape[:, :, a, b] = shape[:, :, b, a] = -normal
     h_vec = np.einsum("kab,kmab->km", data.gamma_inv, shape)
@@ -83,41 +71,54 @@ def extrinsic_data(E: Embedding, u) -> ExtrinsicData:
     return extrinsic_block(E, as_point(u)[None]).node(0)
 
 
-def _check_normal(E, data, n):
-    n = np.asarray(n, dtype=float)
-    absg = data.absg
+def _check_normal(E, u, n):
+    """The extrinsic data at u, and n checked normal to E there."""
+    ext = extrinsic_data(E, u)
+    n, e, absg = np.asarray(n, dtype=float), ext.base.frame, ext.base.absg
     n_ref = np.sqrt(max(float(n @ absg @ n), 0.0))
-    for a in range(E.dim):
-        e_ref = np.sqrt(max(float(data.frame[:, a] @ absg @ data.frame[:, a]), 0.0))
-        if abs(float(n @ data.g @ data.frame[:, a])) > NORMAL_TOL * (1.0 + n_ref * e_ref):
-            raise NotNormal(f"vector {n} is not normal to {E.name!r} at u={data.u}")
-    return n
+    e_ref = np.sqrt(np.maximum(np.einsum("ma,mn,na->a", e, absg, e), 0.0))
+    if np.any(np.abs(n @ ext.base.g @ e) > NORMAL_TOL * (1.0 + n_ref * e_ref)):
+        raise NotNormal(f"vector {n} is not normal to {E.name!r} at u={ext.base.u}")
+    return ext, n
 
 
 def second_fundamental_form(E: Embedding, u, n):
     """(K_n)_{ab} = g(n, K(e_a, e_b)) for a normal vector n."""
-    ext = extrinsic_data(E, u)
-    n = _check_normal(E, ext.base, n)
+    ext, n = _check_normal(E, u, n)
     return np.einsum("m,mn,nab->ab", n, ext.base.g, ext.shape)
 
 
 def expansion(E: Embedding, u, n):
     """g(H, n), the expansion along the normal n."""
-    ext = extrinsic_data(E, u)
-    n = _check_normal(E, ext.base, n)
+    ext, n = _check_normal(E, u, n)
     return float(ext.mean_curvature @ ext.base.g @ n)
 
 
-def normal_space_basis(E: Embedding, data):
-    """Columns spanning the normal space of induced `data`: (D, D - d) at
-    one point, (N, D, D - d) for a block."""
-    a_mat = np.swapaxes(data.frame, -1, -2) @ data.g  # (d, D); kernel = normal space
-    _, _, vt = np.linalg.svd(a_mat)
-    return np.swapaxes(vt[..., E.dim:, :], -1, -2)
+def normal_frame(E: Embedding, data, t_vec):
+    """The normal frame n (N, D, D - d) at induced block `data` and its norms
+    n2 = g(n_i, n_i) (N, D - d): g-orthogonal columns with |n2| = 1, timelike
+    ones first (ascending eigenvalues of the normal metric) and
+    future-pointing against `t_vec` (N, D)."""
+    g = data.g
+    _, _, vt = np.linalg.svd(np.swapaxes(data.frame, 1, 2) @ g)  # kernel = normal space
+    basis = np.swapaxes(vt[:, E.dim:, :], 1, 2)
+    _, v = np.linalg.eigh(np.swapaxes(basis, 1, 2) @ g @ basis)
+    n = basis @ v
+    n2 = np.einsum("kmi,kmn,kni->ki", n, g, n)
+    n = n / np.sqrt(np.abs(n2))[:, None]
+    n2 = np.einsum("kmi,kmn,kni->ki", n, g, n)
+    flip = (n2 < 0.0) & (np.einsum("kmi,kmn,kn->ki", n, g, t_vec) > 0.0)
+    return np.where(flip[:, None], -n, n), n2
+
+
+def _require_spacelike(E: Embedding, data):
+    raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
+                lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
 
 
 def null_normal_pair(E: Embedding, u, outward):
-    """Future null normal basis (l_plus, l_minus) with g(l+, l-) = -1.
+    """Future null normal basis (l_plus, l_minus) with g(l+, l-) = -1: the
+    N = 1 view of `normal_frame`.
 
     Only defined in codimension 2 with a spacelike S.  `outward` is a
     reference ambient vector; l_plus is the member with the larger
@@ -126,25 +127,14 @@ def null_normal_pair(E: Embedding, u, outward):
     """
     if E.codim != 2:
         raise ValueError("null normal pair requires codimension 2")
-    data = E.induced(u)
-    if np.linalg.eigvalsh(data.gamma)[0] <= 0.0:
-        raise NotSpacelike(f"{E.name!r} not spacelike at u={u}")
-    g = data.g
-    basis = normal_space_basis(E, data)
-    h = basis.T @ g @ basis  # 2x2 normal metric, Lorentzian
-    w, v = np.linalg.eigh(h)
-    if not (w[0] < 0.0 < w[1]):
+    data = E.induced_block(as_point(u)[None])
+    _require_spacelike(E, data)
+    n, n2 = normal_frame(E, data, E.ambient.future_block(data.p))
+    if not (n2[0, 0] < 0.0 < n2[0, 1]):
         raise NotSpacelike("normal metric is not Lorentzian")
-    w_time = basis @ (v[:, 0] / np.sqrt(-w[0]))
-    w_space = basis @ (v[:, 1] / np.sqrt(w[1]))
-    if float(w_time @ g @ E.ambient.future_block(data.p[None])[0]) > 0.0:
-        w_time = -w_time
-    l_a = (w_time + w_space) / np.sqrt(2.0)
-    l_b = (w_time - w_space) / np.sqrt(2.0)
-    out = np.asarray(outward, dtype=float)
-    if float(l_a @ g @ out) >= float(l_b @ g @ out):
-        return l_a, l_b
-    return l_b, l_a
+    l_a, l_b = (n[0] @ [[1.0, 1.0], [1.0, -1.0]]).T / np.sqrt(2.0)
+    g, out = data.g[0], np.asarray(outward, dtype=float)
+    return (l_a, l_b) if l_a @ g @ out >= l_b @ g @ out else (l_b, l_a)
 
 
 class LabelColumns(NamedTuple):
@@ -169,8 +159,7 @@ def _classify_block(E: Embedding, us, tol):
     """
     ext = extrinsic_block(E, us)
     data = ext.base
-    raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
-                lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
+    _require_spacelike(E, data)
     g, h_vec = data.g, ext.mean_curvature
     t_vec = E.ambient.future_block(data.p)
     causal, time = causal_label(h_vec, g, data.absg, t_vec, tol=tol)
@@ -181,14 +170,8 @@ def _classify_block(E: Embedding, us, tol):
                       np.abs(ext.h_norm2) / np.where(positive, scale, 1.0) - tol, 0.0)
     theta = None
     if E.codim == 1:
-        n = normal_space_basis(E, data)[:, :, 0]
-        n2 = np.einsum("km,kmn,kn->k", n, g, n)
-        n = n / np.sqrt(np.abs(n2))[:, None]
-        n2 = np.einsum("km,kmn,kn->k", n, g, n)
-        # orient timelike normals to the future
-        flip = (n2 < 0.0) & (np.einsum("km,kmn,kn->k", n, g, t_vec) > 0.0)
-        n = np.where(flip[:, None], -n, n)
-        theta = np.einsum("km,kmn,kn->k", h_vec, g, n) / n2
+        n, n2 = normal_frame(E, data, t_vec)
+        theta = np.einsum("km,kmn,kn->k", h_vec, g, n[:, :, 0]) / n2[:, 0]
     return LabelColumns(data.u, causal, time, ext.h_norm2, ref_norm, margin, theta)
 
 

@@ -95,6 +95,35 @@ def test_classify_errors(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("refs", [
+    ("--embedding", "round_sphere:radius=abc"),
+    ("--embedding", "round_sphere:radius="),
+    ("--embedding", "round_sphere:radius=nan"),
+    ("--embedding", "round_sphere:radius=inf"),
+    ("--embedding", "round_sphere", "--metric", "minkowski:dimension=nan"),
+])
+def test_catalog_parameter_text_must_be_a_finite_number(capsys, refs):
+    code, out, err = run(capsys, "classify", *refs, "--grid", "4,4")
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ParamOutOfRange"
+    assert "must be a finite number" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("value", [None, True, "abc", [2.0]])
+def test_config_catalog_parameter_must_be_a_finite_number(tmp_path, capsys, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere", "params": {"radius": value}},
+    }))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ParamOutOfRange"
+    assert "round_sphere.radius" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--embedding", "round_sphere", "--grid", "8,x"),
     ("classify", "--embedding", "round_sphere", "--grid", "1,4"),
@@ -267,6 +296,8 @@ def test_classify_builds_report_bodies_only_when_asked(tmp_path, monkeypatch, ca
     (("variation", "--pairs", "-3"), "--pairs"),
     (("variation", "--config", "CONFIG", "--pairs", "50"), "--pairs"),
     (("variation", "--config", "CONFIG", "--seed", "7"), "--seed"),
+    (("eq3", "--seed", "-1"), "--seed"),
+    (("variation", "--seed", "-1"), "--seed"),
 ])
 def test_verify_counts_and_random_options_are_checked(tmp_path, monkeypatch, capsys,
                                                        argv, option):

@@ -68,11 +68,11 @@ def test_rank_deficient_map_rejected():
 
 def test_decompose_examples():
     sphere = cat("round_sphere")
-    u = [math.pi / 2, 0.0]
-    tan, nor = sphere.decompose(u, [0.0, 1.0, 0.0, 0.0])
+    data = sphere.induced([math.pi / 2, 0.0])
+    tan, nor = sphere.decompose([0.0, 1.0, 0.0, 0.0], data)
     assert np.allclose(tan, 0.0, atol=1e-12)
     assert np.allclose(nor, [0.0, 1.0, 0.0, 0.0])
-    tan, nor = sphere.decompose(u, [0.0, 0.0, 1.0, 0.0])
+    tan, nor = sphere.decompose([0.0, 0.0, 1.0, 0.0], data)
     assert np.allclose(tan, [0.0, 0.0, 1.0, 0.0])
     assert np.allclose(nor, 0.0, atol=1e-12)
 
@@ -85,12 +85,12 @@ def test_decompose_properties(rng):
         u = emb.random_parameter_point(rng)
         v = rng.normal(size=emb.ambient.dim)
         data = emb.induced(u)
-        tan, nor = emb.decompose(u, v, data=data)
+        tan, nor = emb.decompose(v, data)
         assert np.allclose(tan + nor, v, atol=1e-10)
         g = emb.ambient.at(data.p)
         for a in range(emb.dim):
             assert abs(nor @ g @ data.frame[:, a]) < 1e-10 * (1 + np.abs(v).max())
-        tan2, nor2 = emb.decompose(u, tan, data=data)
+        tan2, nor2 = emb.decompose(tan, data)
         assert np.allclose(tan2, tan, atol=1e-10)
         assert np.allclose(nor2, 0.0, atol=1e-10)
 
@@ -101,9 +101,9 @@ def test_decompose_block_matches_columns(rng):
         u = emb.random_parameter_point(rng)
         data = emb.induced(u)
         block = rng.normal(size=(emb.ambient.dim, 3))
-        tan, nor = emb.decompose(u, block, data=data)
+        tan, nor = emb.decompose(block, data)
         for k in range(3):
-            tan_k, nor_k = emb.decompose(u, block[:, k], data=data)
+            tan_k, nor_k = emb.decompose(block[:, k], data)
             # matrix and vector products may sum in another order: a few ulps
             ulps = 16 * np.finfo(float).eps * (np.abs(tan_k).max() + np.abs(nor_k).max())
             assert np.abs(tan[:, k] - tan_k).max() <= ulps

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from trapsurf import catalog
 from trapsurf.embedding import Embedding, embedding_from_expressions
 from trapsurf.errors import NotNormal, NotSpacelike
 from trapsurf.expressions import blockwise
@@ -17,8 +18,9 @@ from trapsurf.extrinsic import (
     _classify_block,
     classify_submanifold,
     expansion,
+    extrinsic_block,
     extrinsic_data,
-    normal_space_basis,
+    normal_frame,
     null_normal_pair,
     second_fundamental_form,
 )
@@ -139,16 +141,22 @@ def test_ef_sphere_mean_curvature_closed_form(rng):
                                                                abs=1e-8)
 
 
-def test_normal_space_basis_spans_orthocomplement(rng):
-    emb = cat("ef_sphere")
-    u = emb.random_parameter_point(rng)
-    data = emb.induced(u)
-    basis = normal_space_basis(emb, data)
-    assert basis.shape == (4, 2)
-    g = emb.ambient.at(data.p)
-    for k in range(2):
-        for a in range(2):
-            assert abs(basis[:, k] @ g @ data.frame[:, a]) < 1e-10
+def test_normal_frame_spans_orthocomplement(rng):
+    for name in ("ef_sphere", "t_const_hypersurface_rw", "accelerated_curve",
+                 "round_sphere"):
+        emb = cat(name)
+        data = emb.induced_block([emb.random_parameter_point(rng) for _ in range(5)])
+        t_vec = emb.ambient.future_block(data.p)
+        n, n2 = normal_frame(emb, data, t_vec)
+        k = emb.codim
+        assert n.shape == (5, emb.ambient.dim, k) and n2.shape == (5, k)
+        n_t = np.swapaxes(n, 1, 2)
+        assert np.abs(n_t @ data.g @ data.frame).max() < 1e-10
+        # g-orthonormal, timelike columns first and future-pointing
+        assert np.allclose(n_t @ data.g @ n, n2[:, :, None] * np.eye(k), atol=1e-10)
+        assert np.allclose(np.abs(n2), 1.0)
+        assert np.all(np.diff(np.sign(n2), axis=1) >= 0.0)
+        assert np.all(np.einsum("kmi,kmn,kn->ki", n, data.g, t_vec)[n2 < 0.0] < 0.0)
 
 
 def test_null_normal_pair_expansions():
@@ -174,6 +182,47 @@ def test_null_normal_pair_expansions():
         # boost-invariant combination recovers g(H, H)
         assert -2.0 * tp * tm == pytest.approx(
             extrinsic_data(emb, u).h_norm2, abs=1e-9)
+
+
+def _catalog_embeddings():
+    return [cat(e.name) for e in catalog.list_entries() if e.kind == "embedding"]
+
+
+def test_null_expansions_give_the_mean_curvature_norm(rng):
+    # g(H, H) = -2 theta_+ theta_- with g(l+, l-) = -1, on every spacelike
+    # codimension-2 catalog surface and across the Schwarzschild horizon
+    cases = [emb for emb in _catalog_embeddings() if emb.codim == 2 and np.all(
+        np.linalg.eigvalsh(emb.induced(emb.random_parameter_point(rng)).gamma) > 0.0)]
+    cases += [cat("ef_sphere", radius=r) for r in (1.5, 2.0, 3.0)]
+    assert len(cases) >= 12
+    for emb in cases:
+        for _ in range(8):
+            u = emb.random_parameter_point(rng)
+            lp, lm = null_normal_pair(emb, u, rng.normal(size=4))
+            p = emb.point(u)
+            g, t_vec = emb.ambient.at(p), emb.ambient.future_block(p[None])[0]
+            assert abs(lp @ g @ lp) < 1e-12 and abs(lm @ g @ lm) < 1e-12
+            assert lp @ g @ lm == pytest.approx(-1.0, abs=1e-12)
+            assert lp @ g @ t_vec < 0.0 and lm @ g @ t_vec < 0.0
+            h2 = extrinsic_data(emb, u).h_norm2
+            theta = expansion(emb, u, lp) * expansion(emb, u, lm)
+            assert abs(h2 + 2.0 * theta) <= 1e-12 * max(1.0, abs(h2)), emb.name
+
+
+def test_finite_differences_match_the_analytic_extrinsic_bundle(rng):
+    # FD errors in d^2 Phi are absolute in the ambient scale, and gamma^-1
+    # amplifies them by the induced metric's condition number: near the
+    # poles of a sphere chart it grows like 1/sin^2(theta)
+    for emb in _catalog_embeddings():
+        us = np.array([emb.random_parameter_point(rng) for _ in range(64)])
+        analytic = extrinsic_block(emb, us)
+        fd = extrinsic_block(emb.without_analytic_derivatives(), us)
+        bound = 1e-7 * np.linalg.cond(analytic.base.gamma)
+        for a, f in ((analytic.shape, fd.shape),
+                     (analytic.mean_curvature, fd.mean_curvature),
+                     (analytic.h_norm2, fd.h_norm2)):
+            err = (np.abs(f - a) / np.maximum(1.0, np.abs(a))).reshape(len(us), -1)
+            assert np.all(err.max(axis=1) <= bound), emb.name
 
 
 def test_null_normal_pair_requires_spacelike_codim2():

@@ -58,7 +58,7 @@ def test_surface_divergence_of_tangential_killing(rng):
         u = torus.random_parameter_point(rng)
         # rotation about z is tangent to the torus and divergence-free
         p = torus.point(u)
-        tan, nor = torus.decompose(u, rotation.at(p))
+        tan, nor = torus.decompose(rotation.at(p), torus.induced(u))
         assert np.allclose(nor, 0.0, atol=1e-10)
         # g(xi, H) = 0 for a tangent xi: the identity is the divergence alone
         assert abs(rhs_identity(torus, rotation, u)) < 1e-8
@@ -67,7 +67,8 @@ def test_surface_divergence_of_tangential_killing(rng):
 def test_tangential_components_of_normal_field_vanish(rng):
     sphere = cat("round_sphere")
     u = sphere.random_parameter_point(rng)
-    tangent, _ = sphere.decompose(u, cat("radial_unit").at(sphere.point(u)))
+    tangent, _ = sphere.decompose(cat("radial_unit").at(sphere.point(u)),
+                                 sphere.induced(u))
     assert np.allclose(tangent, 0.0, atol=1e-12)
 
 
