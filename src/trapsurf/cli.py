@@ -11,9 +11,7 @@ boundary diagnostic, 64 config error, 65 unknown catalog entry.
 """
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -54,21 +52,24 @@ def dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(path, text):
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+
+
 def write_outputs(paths, bodies):
     """Write each (format, path) of `paths`; `bodies[format]()` builds a
-    format's text, once, and only when some path asks for it."""
+    format's text, once, and only when some path asks for it.  A path that
+    cannot be written is a ConfigError naming the format and the path."""
     built = {}
     for fmt, path in paths:
         if fmt not in built:
             built[fmt] = bodies[fmt]()
-        with open(path, "w", newline="") as handle:
-            handle.write(built[fmt])
-
-
-def _csv_text(rows):
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
+        try:
+            _write(path, built[fmt])
+        except OSError as exc:
+            raise ConfigError(f"cannot write the {fmt.upper()} output {path!r}: "
+                              f"{exc.strerror or exc}") from None
 
 
 def parse_catalog_ref(text):
@@ -138,7 +139,7 @@ def cmd_classify(args, config):
     for note in report.notes:
         text += f"note: {note}\n"
     bodies = {"json": report.to_json, "text": lambda: text,
-              "csv": lambda: _csv_text(report.to_csv_rows(embedding.param_names))}
+              "csv": lambda: report.to_csv(embedding.param_names)}
     mixed = report.verdict == "Mixed" and report.boundary_count > 0
     return text, bodies, EXIT_MIXED_BOUNDARY if mixed else EXIT_OK
 
@@ -367,11 +368,17 @@ def main(argv=None):
             for fmt, _ in outputs:
                 if fmt not in COMMAND_FORMATS[args.command]:
                     raise ConfigError(f"{args.command} produces no {fmt.upper()} output")
+            formats = {}
+            for fmt, path in outputs + paths:
+                other = formats.setdefault(Path(path).resolve(), fmt)
+                if other != fmt:
+                    raise ConfigError(f"{path!r} is both the {other.upper()} and "
+                                      f"the {fmt.upper()} output")
             paths = outputs + paths
             command = cmd_classify if args.command == "classify" else cmd_verify
             text, bodies, code = command(args, config)
-            print(text, end="")
             write_outputs(paths, bodies)
+            print(text, end="")
             return code
     except TrapsurfError as exc:
         if isinstance(exc, (ConfigError, ParamOutOfRange)):
@@ -383,10 +390,17 @@ def main(argv=None):
         error = {"type": type(exc).__name__, "message": str(exc)}
         body = dump_json({"schema": "report_v1", "kind": "error", "error": error})
         sys.stderr.write(body)
-        write_outputs([p for p in paths if p[0] == "json"], {"json": lambda: body})
-        # no CSV or text output of an earlier run stays beside the error report
-        for _, path in (p for p in paths if p[0] != "json"):
-            Path(path).unlink(missing_ok=True)
+        # no CSV or text output of an earlier run stays beside the error
+        # report, which then reaches every JSON output; a path that cannot
+        # be written is passed over, as stderr holds the report anyway
+        for fmt, path in sorted(paths, key=lambda p: p[0] == "json"):
+            try:
+                if fmt == "json":
+                    _write(path, body)
+                else:
+                    Path(path).unlink(missing_ok=True)
+            except OSError:
+                pass
         return code
 
 

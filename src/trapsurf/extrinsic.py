@@ -7,13 +7,18 @@ direction and g(H, xi) integrates to the first variation of volume
 along xi (see the variation module).
 
 A classification keeps its per-node results as arrays (`LabelColumns`)
-from the grid kernel to the report files, written in the layout of
-json.dumps(..., indent=2, sort_keys=True).  Geometry that is not finite
-at a node raises a typed error, so no report holds a NaN.
+from the grid kernel to the report files.  Each float column is turned
+into text once per report, and the JSON report (in the layout of
+json.dumps(..., indent=2, sort_keys=True)) and the CSV table are both
+written from those strings.  Geometry that is not finite at a node raises
+a typed error, so no report holds a NaN.
 """
 
+import csv
+import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +186,16 @@ _TIME_NAMES = np.array([t.value for t in _TIME_CODES])
 _LABEL_NAMES = np.array([[f"{c}/{t}" for t in _TIME_NAMES] for c in _CAUSAL_NAMES])
 
 
+def _float_reprs(col):
+    """[repr(x) for x in col.tolist()], with repr called once per distinct
+    64-bit pattern: grid coordinates repeat along every other axis.  Keyed
+    on bits, not values, so 0.0 and -0.0 keep their own text."""
+    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64),
+                              return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Per-node label columns plus the aggregated submanifold verdict."""
@@ -195,20 +210,29 @@ class ClassificationReport:
     embedding_name: str = ""
     notes: tuple = ()
 
+    @cached_property
+    def _cells(self):
+        """The text of each float column, formatted once for both writers:
+        u (one list per axis), h_norm2, margin and, in codimension 1, theta."""
+        cols = self.columns
+        return {"u": [_float_reprs(axis) for axis in cols.u.T],
+                "h_norm2": _float_reprs(cols.h_norm2),
+                "margin": _float_reprs(cols.margin),
+                "theta": None if cols.theta is None else _float_reprs(cols.theta)}
+
     def to_json(self):
         """The report as JSON text, laid out as json.dumps(..., indent=2,
         sort_keys=True) plus a newline; the points are formatted from the
-        columns, one format string per node."""
-        cols = self.columns
-        node = ('    {\n      "causal": "%s",\n      "h_norm2": %r,\n      "margin": %r,\n'
-                + ('      "theta": %r,\n' if cols.theta is not None else '')
+        cells, one format string per node."""
+        cols, cells = self.columns, self._cells
+        node = ('    {\n      "causal": "%s",\n      "h_norm2": %s,\n      "margin": %s,\n'
+                + ('      "theta": %s,\n' if cols.theta is not None else '')
                 + '      "time": "%s",\n      "u": [\n'
-                + ",\n".join(["        %r"] * cols.u.shape[1]) + '\n      ]\n    }')
-        values = [_CAUSAL_NAMES[cols.causal].tolist(), cols.h_norm2.tolist(),
-                  cols.margin.tolist()]
+                + ",\n".join(["        %s"] * cols.u.shape[1]) + '\n      ]\n    }')
+        values = [_CAUSAL_NAMES[cols.causal].tolist(), cells["h_norm2"], cells["margin"]]
         if cols.theta is not None:
-            values.append(cols.theta.tolist())
-        values += [_TIME_NAMES[cols.time].tolist(), *cols.u.T.tolist()]
+            values.append(cells["theta"])
+        values += [_TIME_NAMES[cols.time].tolist(), *cells["u"]]
         points = ",\n".join(node % row for row in zip(*values))
         text = json.dumps({
             "schema": "report_v1",
@@ -231,12 +255,18 @@ class ClassificationReport:
         head, _, tail = text.partition('\n  "points": []')
         return f'{head}\n  "points": [\n{points}\n  ]{tail}'
 
-    def to_csv_rows(self, param_names):
-        cols = self.columns
+    def to_csv(self, param_names):
+        """The per-node table as CSV text, as csv.writer writes it: a header,
+        then one row per node of the u cells, h_norm2, label and margin.  No
+        cell needs quoting, so the rows come from one format string."""
+        cols, cells = self.columns, self._cells
+        header = io.StringIO()
+        csv.writer(header).writerow([*param_names, "h_norm2", "label", "margin"])
+        row = ",".join(["%s"] * (cols.u.shape[1] + 3)) + "\r\n"
         labels = _LABEL_NAMES[cols.causal, cols.time].tolist()
-        return [list(param_names) + ["h_norm2", "label", "margin"],
-                *zip(*cols.u.T.tolist(), cols.h_norm2.tolist(), labels,
-                     cols.margin.tolist())]
+        return header.getvalue() + "".join(
+            row % values for values in zip(*cells["u"], cells["h_norm2"], labels,
+                                           cells["margin"]))
 
 
 def _categories(cols, tol):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trapsurf import cli
+from trapsurf import cli, extrinsic
 from trapsurf.embedding import Embedding
 from trapsurf.extrinsic import ClassificationReport
 
@@ -256,8 +256,8 @@ def test_eq3_seeds_near_poles_pass(capsys, argv):
 
 
 def _count_report_bodies(monkeypatch):
-    calls = {"to_json": 0, "to_csv_rows": 0}
-    for name in calls:
+    calls = {"to_json": 0, "to_csv": 0, "float_reprs": 0}
+    for name in ("to_json", "to_csv"):
         original = getattr(ClassificationReport, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -265,6 +265,13 @@ def _count_report_bodies(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(ClassificationReport, name, counted)
+    original_reprs = extrinsic._float_reprs
+
+    def counted_reprs(col):
+        calls["float_reprs"] += 1
+        return original_reprs(col)
+
+    monkeypatch.setattr(extrinsic, "_float_reprs", counted_reprs)
     return calls
 
 
@@ -272,7 +279,7 @@ def test_classify_builds_report_bodies_only_when_asked(tmp_path, monkeypatch, ca
     calls = _count_report_bodies(monkeypatch)
     code, out, _ = run(capsys, "classify", "--embedding", "round_sphere", "--grid", "4,4")
     assert code == 0 and "verdict:" in out
-    assert calls == {"to_json": 0, "to_csv_rows": 0}
+    assert calls == {"to_json": 0, "to_csv": 0, "float_reprs": 0}
 
     config_json, out_json = tmp_path / "config-report.json", tmp_path / "report.json"
     path = tmp_path / "run.json"
@@ -285,8 +292,81 @@ def test_classify_builds_report_bodies_only_when_asked(tmp_path, monkeypatch, ca
     code, _, _ = run(capsys, "classify", "--config", str(path),
                      "--out-json", str(out_json))
     assert code == 0
-    assert calls == {"to_json": 1, "to_csv_rows": 0}
+    # u1, u2, h_norm2 and margin, each formatted once
+    assert calls == {"to_json": 1, "to_csv": 0, "float_reprs": 4}
     assert config_json.read_bytes() == out_json.read_bytes()
+
+    # the JSON and CSV outputs share the formatted cells
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "classify", "--config", str(path),
+                     "--out-json", str(out_json), "--out-csv", str(out_csv))
+    assert code == 0
+    assert calls == {"to_json": 2, "to_csv": 1, "float_reprs": 8}
+
+    # in codimension 1 theta is a fifth float column: 3 u axes + 3
+    code, _, _ = run(capsys, "classify", "--embedding", "t_const_hypersurface_rw",
+                     "--grid", "2,2,2", "--out-json", str(out_json),
+                     "--out-csv", str(out_csv))
+    assert code == 0
+    assert calls == {"to_json": 3, "to_csv": 2, "float_reprs": 14}
+
+
+@pytest.mark.parametrize("argv, fmt, path", [
+    (("classify", "--embedding", "round_sphere", "--grid", "4,4",
+      "--out-csv", "/nonexistent/x.csv"), "CSV", "/nonexistent/x.csv"),
+    (("classify", "--embedding", "round_sphere", "--grid", "4,4",
+      "--out-json", "TMP"), "JSON", "TMP"),
+    (("verify", "eq3", "--triples", "5", "--out-json", "/nonexistent/r.json"),
+     "JSON", "/nonexistent/r.json"),
+])
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, argv, fmt, path):
+    # TMP is a directory, which cannot be opened as a file
+    argv = [str(tmp_path) if a == "TMP" else a for a in argv]
+    path = str(tmp_path) if path == "TMP" else path
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert fmt in report["error"]["message"] and path in report["error"]["message"]
+
+
+def test_two_formats_on_one_path_are_a_config_error(tmp_path, monkeypatch, capsys):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("the classification ran")
+
+    shared = tmp_path / "report.out"
+    argv = ("classify", "--embedding", "round_sphere", "--grid", "4,4")
+    monkeypatch.setattr(cli, "classify_submanifold", no_runs)
+    code, out, err = run(capsys, *argv, "--out-json", str(shared), "--out-csv", str(shared))
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert str(shared) in report["error"]["message"]
+    assert shared.read_text() == err
+
+    # a config output in another format on a command-line path, given another way
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "outputs": [{"format": "text", "path": str(tmp_path / "." / "report.csv")}],
+    }))
+    code, out, err = run(capsys, "classify", "--config", str(path),
+                         "--out-csv", str(tmp_path / "report.csv"))
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+    monkeypatch.undo()
+
+    # one format on one path twice is allowed
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "grid": {"points_per_axis": [4, 4]},
+        "outputs": [{"format": "json", "path": str(shared)}],
+    }))
+    code, _, _ = run(capsys, "classify", "--config", str(path), "--out-json", str(shared))
+    assert code == 0
+    assert json.loads(shared.read_text())["kind"] == "classification"
 
 
 @pytest.mark.parametrize("argv, option", [

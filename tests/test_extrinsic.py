@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trapsurf import catalog
 from trapsurf.embedding import Embedding, embedding_from_expressions
@@ -16,6 +18,7 @@ from trapsurf.extrinsic import (
     LabelColumns,
     _categories,
     _classify_block,
+    _float_reprs,
     classify_submanifold,
     expansion,
     extrinsic_block,
@@ -354,10 +357,11 @@ def test_report_serialization_round_trip():
     assert data["kind"] == "classification"
     assert data["verdict"] == "AbsolutelyNonTrapped"
     assert len(data["points"]) == 16
-    rows = report.to_csv_rows(("u1", "u2"))
-    assert rows[0] == ["u1", "u2", "h_norm2", "label", "margin"]
-    assert len(rows) == 17
-    assert rows[1][3] == "Spacelike/NotApplicable"
+    header, *rows = csv.reader(io.StringIO(report.to_csv(("u1", "u2"))))
+    assert header == ["u1", "u2", "h_norm2", "label", "margin"]
+    assert len(rows) == 16
+    assert {row[3] for row in rows} == {"Spacelike/NotApplicable"}
+    assert [float(row[0]) for row in rows] == report.columns.u[:, 0].tolist()
 
 
 def _odd_name_sphere():
@@ -400,18 +404,30 @@ def test_report_json_and_csv_are_written_from_the_columns(name):
     assert data["embedding"] == report.embedding_name
     assert (name == "rw_slice") == ("theta" in data["points"][0])
     assert (name == "ppwave_mixed") == (report.verdict == "Mixed")
-    # CSV: the cells read back are the reprs of the columns
+    # CSV: exactly the text csv.writer makes of the per-node reference rows
     params = tuple(f"u{a + 1}" for a in range(report.columns.u.shape[1]))
     buffer = io.StringIO()
-    csv.writer(buffer).writerows(report.to_csv_rows(params))
-    header, *rows = csv.reader(io.StringIO(buffer.getvalue()))
-    assert header == [*params, "h_norm2", "label", "margin"]
-    cols = report.columns
-    assert rows == [
-        [*map(repr, u), repr(h2), f"{lab.causal.value}/{lab.time.value}", repr(m)]
-        for u, h2, m, lab in zip(cols.u.tolist(), cols.h_norm2.tolist(),
-                                 cols.margin.tolist(), labels)
-    ]
+    csv.writer(buffer).writerows([[*params, "h_norm2", "label", "margin"]] + [
+        [*lab.u.tolist(), lab.h_norm2, f"{lab.causal.value}/{lab.time.value}", lab.margin]
+        for lab in labels])
+    assert report.to_csv(params) == buffer.getvalue()
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@settings(derandomize=True, deadline=None)
+@example([-0.0, 0.0, -0.0, 5e-324, 0.0])
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                min_size=1, max_size=12)
+       .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+def test_float_reprs_match_repr(values):
+    col = np.array(values)
+    expected = [repr(x) for x in col.tolist()]
+    assert _float_reprs(col) == expected
+    # a strided view, as the u axes of a report are
+    assert _float_reprs(np.stack([col, col], axis=1)[:, 1]) == expected
 
 
 def _point_category(lab, tol):
