@@ -370,6 +370,9 @@ def main(argv=None):
                     raise ConfigError(f"{args.command} produces no {fmt.upper()} output")
             formats = {}
             for fmt, path in outputs + paths:
+                # a device or pipe (/dev/null, /dev/stdout) may take any output
+                if Path(path).exists() and not Path(path).is_file():
+                    continue
                 other = formats.setdefault(Path(path).resolve(), fmt)
                 if other != fmt:
                     raise ConfigError(f"{path!r} is both the {other.upper()} and "
@@ -390,15 +393,18 @@ def main(argv=None):
         error = {"type": type(exc).__name__, "message": str(exc)}
         body = dump_json({"schema": "report_v1", "kind": "error", "error": error})
         sys.stderr.write(body)
-        # no CSV or text output of an earlier run stays beside the error
-        # report, which then reaches every JSON output; a path that cannot
-        # be written is passed over, as stderr holds the report anyway
+        # No CSV or text output of an earlier run stays beside the error
+        # report, which then reaches every JSON output.  Only regular files
+        # are removed, never a device or a pipe such as /dev/null.  The
+        # non-JSON paths go first, so a path shared with a JSON output ends
+        # up holding the error report.  A path that cannot be written is
+        # passed over, as stderr holds the report anyway.
         for fmt, path in sorted(paths, key=lambda p: p[0] == "json"):
             try:
                 if fmt == "json":
                     _write(path, body)
-                else:
-                    Path(path).unlink(missing_ok=True)
+                elif Path(path).is_file():
+                    Path(path).unlink()
             except OSError:
                 pass
         return code

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -367,6 +369,35 @@ def test_two_formats_on_one_path_are_a_config_error(tmp_path, monkeypatch, capsy
     code, _, _ = run(capsys, "classify", "--config", str(path), "--out-json", str(shared))
     assert code == 0
     assert json.loads(shared.read_text())["kind"] == "classification"
+
+
+@pytest.mark.parametrize("embedding, other, expected_code", [
+    ("round_sphere", None, 0),
+    ("timelike_plane", None, 1),
+    ("round_sphere", "missing/r.json", 64),
+])
+def test_outputs_on_a_pipe_leave_the_node_in_place(tmp_path, capsys, embedding, other,
+                                                   expected_code):
+    # a FIFO stands for a device such as /dev/null: it is no regular file,
+    # so it may take both formats and is never removed on the error path
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # an open reader lets each write through without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["classify", "--embedding", embedding, "--grid", "4,4",
+                "--out-csv", str(fifo)]
+        argv += ["--out-json", str(tmp_path / other if other else fifo)]
+        code, _, err = run(capsys, *argv)
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert code == expected_code
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    if expected_code == 0:
+        assert err == "" and received.startswith("{") and "}\nu1,u2," in received
+    else:
+        assert json.loads(err)["kind"] == "error"
 
 
 @pytest.mark.parametrize("argv, option", [
