@@ -362,6 +362,8 @@ def main(argv=None):
             if args.command == "catalog":
                 if args.action == "show" and not args.name:
                     raise ConfigError("catalog show requires an entry name")
+                if args.action == "list" and args.name:
+                    raise ConfigError(f"catalog list takes no name, got {args.name!r}")
                 return cmd_catalog(args)
             config = config_from_args(args)
             outputs = [(o["format"], o["path"]) for o in config.outputs] if config else []

@@ -211,19 +211,33 @@ def build_metric(ref: ObjectRef):
     )
 
 
+def _check_own_metric(given: ObjectRef, ref: ObjectRef, ambient):
+    """A metric given with the catalog embedding `ref` must be its own
+    `ambient`: the same catalog entry at equal parameter values."""
+    entry = catalog.get_entry(ref.catalog)
+    own, own_values = entry.ambient_of(entry.resolve_params(ref.params))
+    if given.inline is not None:
+        raise ConfigError(
+            f"an inline metric cannot replace the ambient metric {ambient.name!r} of "
+            f"catalog embedding {ref.catalog!r}; a catalog embedding brings its own metric"
+        )
+    if given.catalog == own.name and own.resolve_params(given.params) == own_values:
+        return
+    metric = build_metric(given)  # a bad reference raises its own error first
+    given_values = catalog.get_entry(given.catalog).resolve_params(given.params)
+    raise ConfigError(
+        f"metric {metric.name!r} {given_values} is not the ambient metric "
+        f"{ambient.name!r} {own_values} of catalog embedding {ref.catalog!r}; "
+        "a catalog embedding brings its own metric"
+    )
+
+
 def build_embedding(config: RunConfig):
     ref = config.embedding
     if ref.catalog is not None:
         embedding = _from_catalog(ref, "embedding")
         if config.metric is not None:
-            metric = build_metric(config.metric)
-            ambient = embedding.ambient
-            if (metric.name, metric.coordinates) != (ambient.name, ambient.coordinates):
-                raise ConfigError(
-                    f"metric {metric.name!r} is not the ambient metric "
-                    f"{ambient.name!r} of catalog embedding {ref.catalog!r}; "
-                    "a catalog embedding brings its own metric"
-                )
+            _check_own_metric(config.metric, ref, embedding.ambient)
         return embedding
     inline = ref.inline
     ambient = build_metric(config.metric)

@@ -84,6 +84,8 @@ class Embedding:
         if self.param_domain is None:
             raise ValueError("param_domain is required")
         dom = tuple((float(lo), float(hi)) for lo, hi in self.param_domain)
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in dom):
+            raise ValueError(f"param_domain needs finite lo < hi on every axis, got {dom}")
         object.__setattr__(self, "param_domain", dom)
         if self.periodic is None:
             object.__setattr__(self, "periodic", (False,) * self.dim)

@@ -500,8 +500,18 @@ def _short_domain(cfg):
     del cfg["embedding"]["inline"]["domain"][1]
 
 
+def _reversed_domain(cfg):
+    # a flipped box would flip the sign of every integral over it
+    cfg["embedding"]["inline"]["domain"][0] = [3.14159, 0.0]
+
+
+def _empty_domain(cfg):
+    cfg["embedding"]["inline"]["domain"][0] = [0.0, 0.0]
+
+
 @pytest.mark.parametrize("mutate", [_non_number_constant, _no_components,
-                                    _asymmetric_metric, _short_domain])
+                                    _asymmetric_metric, _short_domain,
+                                    _reversed_domain, _empty_domain])
 def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     cfg = _inline_sphere_config()
     path = tmp_path / "run.json"
@@ -551,7 +561,7 @@ def test_non_finite_geometry_is_a_numerical_failure(tmp_path, capsys, mutate, er
     assert "NaN" not in out + err
 
 
-def test_classify_metric_must_be_the_embeddings_own(capsys):
+def test_classify_metric_must_be_the_embeddings_own(tmp_path, capsys):
     # r = 3 lies inside the horizon of M = 2, but ef_sphere carries M = 1
     code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
                        "--metric", "schwarzschild_ef:mass=2", "--grid", "4,4")
@@ -562,6 +572,27 @@ def test_classify_metric_must_be_the_embeddings_own(capsys):
     code, _, err = run(capsys, "classify", "--embedding", "round_sphere",
                        "--metric", "minkowski:dimension=3", "--grid", "4,4")
     assert code == 64
+    # a mass that differs in the seventh digit has the same 6-digit name
+    code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=1.5,mass=1",
+                       "--metric", "schwarzschild_ef:mass=1.0000001", "--grid", "4,4")
+    assert code == 64
+    assert "1.0000001" in json.loads(err)["error"]["message"]
+    # an inline metric never replaces the catalog's, whatever its name
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "metric": {"inline": {
+            "coordinates": ["t", "x", "y", "z"],
+            "components": [["-4", "0", "0", "0"], ["0", "9", "0", "0"],
+                           ["0", "0", "9", "0"], ["0", "0", "0", "9"]],
+            "time_orientation": ["1", "0", "0", "0"],
+            "name": "minkowski",
+        }},
+        "embedding": {"catalog": "round_sphere"},
+    }))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 64 and out == ""
+    assert "inline metric" in json.loads(err)["error"]["message"]
     code, out, _ = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
                        "--metric", "schwarzschild_ef:mass=1", "--grid", "4,4")
     assert code == 0
@@ -605,6 +636,11 @@ def test_catalog_commands(capsys):
 
     code, _, err = run(capsys, "catalog", "show")
     assert code == 64
+
+    code, out, err = run(capsys, "catalog", "list", "ef_sphere")
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
 def test_verify_eq3(tmp_path, capsys):
