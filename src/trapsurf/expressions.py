@@ -1,23 +1,25 @@
 """Closed-form expression grammar for user-defined metrics, maps and fields.
 
 Component functions are given as strings in a small arithmetic grammar:
-+, -, *, /, ** (or ^), exp, log, sin, cos, sinh, cosh, sqrt, the declared
-coordinate/parameter symbols, named constants and pi.  Strings are parsed
-into sympy expressions (which also supplies analytic derivatives) after a
-strict token whitelist check, so arbitrary code can never be evaluated.
++, -, *, /, ** (or ^), exp, log, sin, cos, sinh, cosh, sqrt, pow(a, b), the
+declared coordinate/parameter symbols, named constants and pi.  A text must
+pass a strict token whitelist, and is then parsed with `ast` into a tree of
+the grammar's own nodes; any other node (a tuple, an attribute, a complex or
+non-finite literal, a call of anything but a grammar function at its arity,
+a division by the literal 0) raises InvalidExpression.
 
 The unit of compilation is a template: the texts, the symbol names and the
-names of the constants.  A template is parsed, differentiated and
-lambdified once per process, with each constant as an argument, so objects
-that differ only in their constants' values share one compiled template.
-
-The catalog's templates are compiled ahead of time: the generated module
-`_compiled` holds the numpy source that lambdify emits for each of them, and
-a template found there is bound without importing sympy.  Sympy is imported
-only for inline and user expressions.  `python -m trapsurf.expressions`
-regenerates `_compiled.py` from every catalog entry.
+names of the constants.  A template's trees are differentiated here, by the
+rules of calculus with 0 and 1 folded away, and each derivative order is
+compiled once per process into one numpy function of the coordinates and
+the constants, so objects that differ only in their constants' values share
+one compiled template.  The generated source holds only the renamed
+arguments `_x{k}` (coordinates) and `_c{k}` (constants), the repr of finite
+numeric literals, the five operators and the grammar's functions, bound from
+numpy; no text of the caller reaches it.
 """
 
+import ast
 import functools
 import io
 import keyword
@@ -27,10 +29,9 @@ import tokenize
 
 import numpy as np
 
-from . import _compiled
 from .errors import InvalidExpression
 
-# the grammar's functions; `_parse` maps each to its sympy function
+# the grammar's functions: pow(a, b) is a ** b, the others are numpy's
 ALLOWED_FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt", "pow")
 
 _ALLOWED_CHARS = re.compile(r"^[A-Za-z0-9_+\-*/^().,\s]*$")
@@ -69,40 +70,158 @@ def _check_tokens(text, names):
             raise InvalidExpression(f"token {tok.string!r} not allowed")
 
 
-def _parse(text, symbols, bound):
-    """Parse `text` in the coordinate `symbols` and the `bound` constants
-    (name -> sympy number or symbol); a bound name shadows a coordinate."""
-    import sympy as sp
+# -- trees ------------------------------------------------------------------
+#
+# A tree is a tuple: ("num", value), ("var", argument name), ("neg", a),
+# (op, a, b) for op in + - * / **, or (function, a).  The constructors fold
+# 0 and 1, so derivatives carry no dead terms.
 
-    local = dict(symbols)
-    local.update(bound)
-    _check_tokens(str(text), set(local))
-    local.update({name: getattr(sp, name) for name in ALLOWED_FUNCTIONS if name != "pow"})
-    local["pow"] = sp.Pow
-    local["pi"] = sp.pi
-    source = str(text).replace("^", "**")
+_ZERO, _ONE, _TWO = ("num", 0), ("num", 1), ("num", 2)
+
+
+def _is(node, value):
+    return node[0] == "num" and node[1] == value
+
+
+def _add(a, b):
+    return b if _is(a, 0) else a if _is(b, 0) else ("+", a, b)
+
+
+def _sub(a, b):
+    return a if _is(b, 0) else _neg(b) if _is(a, 0) else ("-", a, b)
+
+
+def _neg(a):
+    if a[0] == "num":
+        return ("num", -a[1])
+    return a[1] if a[0] == "neg" else ("neg", a)
+
+
+def _mul(a, b):
+    if _is(a, 0) or _is(b, 0):
+        return _ZERO
+    return b if _is(a, 1) else a if _is(b, 1) else ("*", a, b)
+
+
+def _div(a, b):
+    if _is(b, 0):
+        raise InvalidExpression("division by zero")
+    return a if _is(a, 0) or _is(b, 1) else ("/", a, b)
+
+
+def _pow(a, b):
+    return _ONE if _is(b, 0) else a if _is(b, 1) else ("**", a, b)
+
+
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow}
+
+
+def _tree(node, variables):
+    """The grammar tree of an `ast` node; `variables` maps each name to its
+    argument name."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_tree(node.left, variables),
+                                      _tree(node.right, variables))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        operand = _tree(node.operand, variables)
+        return _neg(operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            finite = math.isfinite(node.value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidExpression("non-finite number")
+        return ("num", node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return ("num", math.pi)
+        if node.id in variables:
+            return ("var", variables[node.id])
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ALLOWED_FUNCTIONS and not node.keywords
+            and len(node.args) == (2 if node.func.id == "pow" else 1)):
+        args = [_tree(arg, variables) for arg in node.args]
+        return _pow(*args) if node.func.id == "pow" else (node.func.id, *args)
+    raise InvalidExpression(f"{ast.unparse(node)!r} is not in the expression grammar")
+
+
+def _parse(text, variables):
+    _check_tokens(text, variables)
     try:
-        expr = sp.parsing.sympy_parser.parse_expr(
-            source,
-            local_dict=local,
-            # the tokenizer needs the numeric constructors; nothing else leaks in
-            global_dict={"Integer": sp.Integer, "Float": sp.Float,
-                         "Rational": sp.Rational, "Symbol": sp.Symbol},
-            evaluate=True,
-        )
-    except Exception as exc:
+        body = ast.parse(text.replace("^", "**").strip(), mode="eval").body
+        return _tree(body, variables)
+    except (SyntaxError, RecursionError, InvalidExpression) as exc:
         raise InvalidExpression(f"cannot parse {text!r}: {exc}") from exc
-    extra = expr.free_symbols - set(symbols.values()) - set(bound.values())
-    if extra:
-        raise InvalidExpression(f"unknown symbols {sorted(map(str, extra))}")
-    return expr
 
 
-def make_symbols(names):
-    import sympy as sp
+def _diff(node, var):
+    """d node / d var, for the argument name `var`."""
+    op = node[0]
+    if op == "num":
+        return _ZERO
+    if op == "var":
+        return _ONE if node[1] == var else _ZERO
+    if op == "neg":
+        return _neg(_diff(node[1], var))
+    a, da = node[1], _diff(node[1], var)
+    if op in ("+", "-", "*", "/", "**"):
+        b, db = node[2], _diff(node[2], var)
+        if op in ("+", "-"):
+            return (_add if op == "+" else _sub)(da, db)
+        if op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if op == "/":
+            return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _TWO)))
+        if b[0] == "num":
+            return _mul(_mul(b, _pow(a, ("num", b[1] - 1))), da)
+        return _add(_mul(_mul(node, ("log", a)), db),
+                    _mul(_mul(b, _pow(a, _sub(b, _ONE))), da))
+    if _is(da, 0):
+        return _ZERO
+    if op == "log":
+        return _div(da, a)
+    if op == "sqrt":
+        return _div(da, _mul(_TWO, node))
+    outer = {"exp": node, "sin": ("cos", a), "cos": _neg(("sin", a)),
+             "sinh": ("cosh", a), "cosh": ("sinh", a)}[op]
+    return _mul(outer, da)
 
-    return {name: sp.Symbol(name, real=True) for name in names}
 
+def _source(node):
+    op = node[0]
+    if op == "num":
+        return f"({node[1]!r})"
+    if op == "var":
+        return node[1]
+    if op == "neg":
+        return f"(-{_source(node[1])})"
+    if len(node) == 3:
+        return f"({_source(node[1])} {op} {_source(node[2])})"
+    return f"{op}({_source(node[1])})"
+
+
+_NUMPY = {name: getattr(np, name) for name in ALLOWED_FUNCTIONS if name != "pow"}
+
+
+def _function(arguments, trees):
+    """A numpy function of `arguments` that returns the list of `trees`."""
+    source = (f"def f({', '.join(arguments)}):\n"
+              f"    return [{', '.join(map(_source, trees))}]\n")
+    scope = {"__builtins__": {}, **_NUMPY}
+    exec(compile(source, "<expression template>", "exec"), scope)
+    return scope["f"]
+
+
+def _substitute(node, values):
+    if node[0] == "var":
+        return ("num", values[node[1]]) if node[1] in values else node
+    if node[0] == "num":
+        return node
+    return (node[0], *(_substitute(a, values) for a in node[1:]))
+
+
+# -- templates --------------------------------------------------------------
 
 def blockwise(fn):
     """Mark `fn` as evaluating a whole block of points (N, n) in one call."""
@@ -160,38 +279,10 @@ def _bind(fn, shape, values):
 TEMPLATE_CACHE_SIZE = 128
 
 
-def _map(fn, nested):
-    if isinstance(nested, list):
-        return [_map(fn, e) for e in nested]
-    return fn(nested)
-
-
-def _derivatives(exprs, syms, axis_first):
-    """d exprs / d s for each s in syms, on a new first or last axis."""
-    import sympy as sp
-
-    if axis_first:
-        return [_map(lambda e: sp.diff(e, s), exprs) for s in syms]
-    return _map(lambda e: [sp.diff(e, s) for s in syms], exprs)
-
-
-def _constant_symbols(names, constant_names):
-    """A symbol per constant, named apart from every coordinate (a constant
-    may shadow a coordinate's name in the text) and from the functions of
-    the generated code.  Plain, fixed names, not Dummies: lambdify orders
-    products by symbol name, so the evaluation order (and the rounding)
-    depends on the template alone."""
-    import sympy as sp
-
-    taken = set(names)
-    symbols = {}
-    for c in constant_names:
-        name = "_" + c
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        symbols[c] = sp.Symbol(name, real=True)
-    return symbols
+def _flatten(nested):
+    if isinstance(nested, tuple):
+        return [leaf for e in nested for leaf in _flatten(e)]
+    return [nested]
 
 
 class Template:
@@ -200,18 +291,48 @@ class Template:
     `arrays` holds the (shape, fn) of the expressions and of each derivative
     order; fn takes the coordinates followed by the constants, in the order
     of `constant_names`, and returns the flat list of entries.  Each object
-    built from the template binds its own values.  A template of the
-    generated module `_compiled` is symmetric wherever it is square.
+    built from the template binds its own values.
     """
 
-    def __init__(self, constant_names, arrays):
+    def __init__(self, names, texts, constant_names, order, axis_first):
         self.constant_names = constant_names
-        self.arrays = arrays
-        self.shape = arrays[0][0]
+        self.shape = _shape(texts)
+        xs = [f"_x{k}" for k in range(len(names))]
+        cs = [f"_c{k}" for k in range(len(constant_names))]
+        self.arguments, self.dim = xs + cs, len(xs)
+        # a constant shadows a coordinate of the same name
+        variables = {**dict(zip(names, xs)), **dict(zip(constant_names, cs))}
+        parsed = {text: _parse(text, variables) for text in set(_flatten(texts))}
+        self.trees = [parsed[text] for text in _flatten(texts)]
+        trees, shape, self.arrays = self.trees, self.shape, []
+        for k in range(order + 1):
+            if k:
+                if axis_first:
+                    trees = [_diff(t, x) for x in xs for t in trees]
+                    shape = (len(xs),) + shape
+                else:
+                    trees = [_diff(t, x) for t in trees for x in xs]
+                    shape = shape + (len(xs),)
+            self.arrays.append((shape, _function(self.arguments, trees)))
 
     def symmetric(self, constants):
-        """Whether a square template is symmetric at these constant values."""
-        return True
+        """Whether a square template is symmetric at these constant values:
+        each pair of trees is equal once the values are substituted, or
+        agrees at fixed probe points."""
+        values = tuple(float(constants[c]) for c in self.constant_names)
+        by_name = dict(zip(self.arguments[self.dim:], values))
+        n = self.shape[0]
+        pairs = [(_substitute(self.trees[i * n + j], by_name),
+                  _substitute(self.trees[j * n + i], by_name))
+                 for i in range(n) for j in range(i + 1, n)]
+        unequal = [tree for a, b in pairs if a != b for tree in (a, b)]
+        if not unequal:
+            return True
+        probes = np.random.default_rng(0).uniform(0.5, 1.5, (8, self.dim))
+        with np.errstate(all="ignore"):
+            got = np.array([np.broadcast_to(v, len(probes)) for v in
+                            _function(self.arguments, unequal)(*probes.T, *values)])
+        return np.allclose(got[0::2], got[1::2], rtol=1e-12, atol=0.0, equal_nan=True)
 
     def bind(self, constants=None):
         """Blockwise callables for the expressions and each derivative
@@ -220,79 +341,13 @@ class Template:
         return [_bind(fn, shape, values) for shape, fn in self.arrays]
 
 
-class SympyTemplate(Template):
-    """A template parsed, differentiated and lambdified with sympy.
-
-    The constants are sympy symbols while parsing, differentiating and
-    lambdifying.  `exprs` is the parsed nested list, `constant_symbols` maps
-    each constant name to its symbol.
-    """
-
-    def __init__(self, names, texts, constant_names, order, axis_first):
-        import sympy as sp
-
-        syms = make_symbols(names)
-        ordered = [syms[n] for n in names]
-        self.constant_symbols = _constant_symbols(names, constant_names)
-        parsed = {}
-
-        def parse(node):
-            if isinstance(node, tuple):
-                return [parse(e) for e in node]
-            if node not in parsed:
-                parsed[node] = _parse(node, syms, self.constant_symbols)
-            return parsed[node]
-
-        self.exprs = parse(texts)
-        args = ordered + list(self.constant_symbols.values())
-        arrays = [self.exprs]
-        for _ in range(order):
-            arrays.append(_derivatives(arrays[-1], ordered, axis_first))
-        super().__init__(constant_names, [
-            (_shape(a), sp.lambdify(args, sp.flatten(a), modules="numpy"))
-            for a in arrays])
-
-    @functools.cached_property
-    def _asymmetry(self):
-        """exprs[i][j] - exprs[j][i] for each i < j where the two entries
-        differ for some constant values (square templates only)."""
-        import sympy as sp
-
-        m = self.exprs
-        diffs = []
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                if m[i][j] != m[j][i]:
-                    diff = sp.simplify(m[i][j] - m[j][i])
-                    if diff != 0:
-                        diffs.append(diff)
-        return tuple(diffs)
-
-    def symmetric(self, constants):
-        """Whether a square template is symmetric at these constant values.
-
-        The symbolic check runs once per template; only entry pairs that
-        differ symbolically are checked again with the values substituted.
-        """
-        import sympy as sp
-
-        values = {self.constant_symbols[c]: float(constants[c])
-                  for c in self.constant_names}
-        return all(sp.simplify(d.subs(values)) == 0 for d in self._asymmetry)
-
-
 def _texts(nested):
     if isinstance(nested, (list, tuple)):
         return tuple(_texts(e) for e in nested)
     return str(nested)
 
 
-@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _compile(names, texts, constant_names, order, axis_first):
-    arrays = _compiled.TEMPLATES.get((names, texts, constant_names, order, axis_first))
-    if arrays is not None:
-        return Template(constant_names, arrays)
-    return SympyTemplate(names, texts, constant_names, order, axis_first)
+_compile = functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)(Template)
 
 
 def template(names, texts, constants=None, order=0, axis_first=False):
@@ -307,109 +362,3 @@ def template(names, texts, constants=None, order=0, axis_first=False):
     """
     return _compile(tuple(names), _texts(texts), tuple(sorted(constants or ())),
                     order, axis_first)
-
-
-# -- the generated module ---------------------------------------------------
-
-# the numpy names generated code may use; generation fails on any other
-_GENERATED_NAMES = ("cos", "cosh", "exp", "log", "pi", "sin", "sinh", "sqrt")
-
-
-def catalog_parameter_sets():
-    """(name, params) of every instantiable catalog entry at each finite
-    choice of its texts: each Minkowski dimension and each choice-valued
-    parameter (the Robertson-Walker scale); other parameters keep their
-    defaults, since their values never enter the texts."""
-    from . import catalog
-
-    for entry in catalog.list_entries():
-        if entry.builder is None:
-            continue
-        sets = [{}]
-        for spec in entry.params:
-            if entry.name == "minkowski":
-                choices = range(math.floor(spec.lo) + 1, math.ceil(spec.hi))
-            else:
-                choices = spec.choices or ()
-            if choices:
-                sets = [{**s, spec.name: c} for s in sets for c in choices]
-        for params in sets:
-            yield entry.name, params
-
-
-def _catalog_templates():
-    """key -> SympyTemplate for every template the catalog compiles at
-    `catalog_parameter_sets`, in order of first use; the generated module
-    is never consulted."""
-    from . import catalog
-
-    global _compile
-    found = {}
-
-    def record(*key):
-        if key not in found:
-            found[key] = SympyTemplate(*key)
-        return found[key]
-
-    saved, _compile = _compile, record
-    try:
-        for name, params in catalog_parameter_sets():
-            catalog.instantiate(name, **params)
-    finally:
-        _compile = saved
-    return found
-
-
-def generate():
-    """The source of `_compiled.py`: every catalog template that is not
-    square or is symmetric for all constant values, one function per
-    derivative order (identical functions shared), and `TEMPLATES`."""
-    import ast
-    import inspect
-
-    import sympy as sp
-
-    functions = {}  # lambdify source -> generated name
-    imports = set()
-    entries = []
-    for key, tmpl in _catalog_templates().items():
-        square = len(tmpl.shape) == 2 and tmpl.shape[0] == tmpl.shape[1]
-        if square and tmpl._asymmetry:
-            continue
-        arrays = []
-        for shape, fn in tmpl.arrays:
-            source = inspect.getsource(fn)
-            tree = ast.parse(source).body[0]
-            reads = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-                     - {arg.arg for arg in tree.args.args})
-            if not reads <= set(_GENERATED_NAMES):
-                raise ValueError(f"generated source uses {sorted(reads)}: {source}")
-            imports |= reads
-            name = functions.setdefault(source, f"_f{len(functions)}")
-            arrays.append(f"({shape!r}, {name})")
-        entries.append(f"    {key!r}:\n        ({', '.join(arrays)},),\n")
-    header = (
-        '"""Compiled expression templates of the catalog: generated, do not edit.\n'
-        "\n"
-        f"Generated with sympy {sp.__version__} by `python -m trapsurf.expressions`,\n"
-        "which rewrites this file.  Each function is the numpy source that\n"
-        "`sympy.lambdify` emits for one derivative order of a template.\n"
-        "`TEMPLATES` maps a template's key (names, texts, constant names, order,\n"
-        "axis_first) to the (shape, function) of each array.\n"
-        '"""\n'
-    )
-    parts = [header, "\n", f"from numpy import {', '.join(sorted(imports))}\n"]
-    for source, name in functions.items():
-        parts.append("\n\n" + source.replace("_lambdifygenerated", name, 1))
-    parts.append("\n\nTEMPLATES = {\n" + "".join(entries) + "}\n")
-    return "".join(parts)
-
-
-if __name__ == "__main__":
-    # `python -m trapsurf.expressions` rewrites _compiled.py.  The catalog
-    # compiles through the package's copy of this module, so generate with it.
-    from pathlib import Path
-
-    from trapsurf import expressions
-
-    Path(expressions._compiled.__file__).write_text(expressions.generate())

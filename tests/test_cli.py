@@ -509,9 +509,14 @@ def _empty_domain(cfg):
     cfg["embedding"]["inline"]["domain"][0] = [0.0, 0.0]
 
 
+def _tuple_in_map(cfg):
+    # passes the token check, but a tuple is not in the grammar
+    cfg["embedding"]["inline"]["map"][1] = "(R, 1)"
+
+
 @pytest.mark.parametrize("mutate", [_non_number_constant, _no_components,
                                     _asymmetric_metric, _short_domain,
-                                    _reversed_domain, _empty_domain])
+                                    _reversed_domain, _empty_domain, _tuple_in_map])
 def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     cfg = _inline_sphere_config()
     path = tmp_path / "run.json"

@@ -35,6 +35,28 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source):
+    """The top-level module of every import statement, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\ndef f():\n    from sympy import Symbol\n    from . import x\n"
+    assert imported_modules(source) == {"os", "sympy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_sympy(path):
+    # expression templates are parsed and differentiated in `expressions`
+    assert "sympy" not in imported_modules(path.read_text())
+
+
 def test_package_exports_exactly_its_imports():
     tree = ast.parse((SRC / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in tree.body
@@ -76,6 +98,6 @@ def test_dead_names_are_found():
 
 def test_every_module_level_name_is_read():
     read = set().union(*(read_names(p.read_text()) for p in READERS))
-    dead = [f"{path.stem}.{name}" for path in MODULES if path.name != "_compiled.py"
+    dead = [f"{path.stem}.{name}" for path in MODULES
             for name in defined_names(path.read_text()) if name not in read]
     assert dead == []
