@@ -22,7 +22,7 @@ _TOP_KEYS = {"schema_version", "metric", "embedding", "fields", "grid",
              "tolerances", "outputs"}
 _OBJECT_KEYS = {"catalog", "params", "inline"}
 _METRIC_INLINE_KEYS = {"coordinates", "components", "constants",
-                       "time_orientation", "chart_bounds", "signature", "name"}
+                       "time_orientation", "chart_bounds", "name"}
 _EMBEDDING_INLINE_KEYS = {"parameters", "map", "domain", "periodic", "closed",
                           "constants", "name"}
 _FIELD_INLINE_KEYS = {"coordinates", "components", "constants", "name"}
@@ -206,7 +206,6 @@ def build_metric(ref: ObjectRef):
         constants=inline.get("constants"),
         time_orientation=inline.get("time_orientation"),
         chart_bounds=inline.get("chart_bounds"),
-        signature=inline.get("signature"),
         name=inline.get("name", "inline-metric"),
     )
 
@@ -255,19 +254,18 @@ def build_embedding(config: RunConfig):
     )
 
 
+def _inline_field(inline, ambient):
+    """An inline vector field, in the ambient coordinates or as many of its own."""
+    coordinates = tuple(inline.get("coordinates", ambient.coordinates))
+    if len(coordinates) != ambient.dim:
+        raise ValueError(f"{len(coordinates)} coordinates, but the ambient metric "
+                         f"{ambient.name!r} has dimension {ambient.dim}")
+    return vector_field_from_expressions(coordinates, inline["components"],
+                                         constants=inline.get("constants"),
+                                         name=inline.get("name", "inline-field"))
+
+
 def build_fields(config: RunConfig, ambient):
-    built = []
-    for i, ref in enumerate(config.fields):
-        if ref.catalog is not None:
-            built.append(_from_catalog(ref, "vector_field"))
-        else:
-            inline = ref.inline
-            built.append(_inline(
-                f"fields[{i}]",
-                vector_field_from_expressions,
-                inline.get("coordinates", ambient.coordinates),
-                inline["components"],
-                constants=inline.get("constants"),
-                name=inline.get("name", "inline-field"),
-            ))
-    return built
+    return [_from_catalog(ref, "vector_field") if ref.catalog is not None
+            else _inline(f"fields[{i}]", _inline_field, ref.inline, ambient)
+            for i, ref in enumerate(config.fields)]

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import expressions, findiff, quadrature
 from .errors import DegenerateInducedMetric, NotClosed, RankDeficientImmersion
-from .geometry import MetricField, absolute_metric, as_point, as_points, raise_first
+from .geometry import MetricField, as_point, as_points, metric_norm, raise_first
 from .quadrature import GridSpec
 
 POLE_MARGIN = 1e-6
@@ -43,6 +43,7 @@ class InducedPointData(NodeBundle):
     p: np.ndarray
     g: np.ndarray           # ambient g_{mu nu} at p
     absg: np.ndarray        # positive-definite reference norm |g| at p
+    negatives: np.ndarray   # number of negative eigenvalues of g at p
     frame: np.ndarray       # e[mu, a] = d Phi^mu / d u^a
     gamma: np.ndarray       # gamma_{ab} = g(e_a, e_b)
     gamma_inv: np.ndarray
@@ -142,7 +143,7 @@ class Embedding:
             f"jacobian of {name!r} rank-deficient at u={us[i]}"))
         gamma = np.swapaxes(e, 1, 2) @ g @ e
         gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-        absg = absolute_metric(g)
+        absg, negatives = metric_norm(g)
         ref = np.einsum("kma,kmn,kna->ka", e, absg, e)
         det = np.linalg.det(gamma)
         tiny = np.finfo(float).tiny
@@ -154,6 +155,7 @@ class Embedding:
             p=p,
             g=g,
             absg=absg,
+            negatives=negatives,
             frame=e,
             gamma=gamma,
             gamma_inv=np.linalg.inv(gamma),

@@ -34,6 +34,11 @@ class NotSpacelike(TrapsurfError):
     """The induced metric is not positive definite where required."""
 
 
+class NotLorentzian(TrapsurfError):
+    """The ambient metric is not Lorentzian at a node, or its declared
+    future vector is not timelike there."""
+
+
 class NotClosed(TrapsurfError):
     """An operation requiring a closed submanifold got an open one."""
 

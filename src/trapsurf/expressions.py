@@ -2,11 +2,12 @@
 
 Component functions are given as strings in a small arithmetic grammar:
 +, -, *, /, ** (or ^), exp, log, sin, cos, sinh, cosh, sqrt, pow(a, b), the
-declared coordinate/parameter symbols, named constants and pi.  A text must
-pass a strict token whitelist, and is then parsed with `ast` into a tree of
-the grammar's own nodes; any other node (a tuple, an attribute, a complex or
-non-finite literal, a call of anything but a grammar function at its arity,
-a division by the literal 0) raises InvalidExpression.
+declared coordinate/parameter symbols, named constants and pi.  A text of
+whitelisted characters is parsed by `ast` (a SyntaxWarning is an error) into
+a tree of the grammar's own nodes; any other node (a keyword, an unknown
+symbol, a tuple, an attribute, a complex or non-finite literal, a call of
+anything but a grammar function at its arity, a division by the literal 0)
+raises InvalidExpression.
 
 The unit of compilation is a template: the texts, the symbol names and the
 names of the constants.  A template's trees are differentiated here, by the
@@ -21,11 +22,9 @@ numpy; no text of the caller reaches it.
 
 import ast
 import functools
-import io
-import keyword
 import math
 import re
-import tokenize
+import warnings
 
 import numpy as np
 
@@ -34,40 +33,9 @@ from .errors import InvalidExpression
 # the grammar's functions: pow(a, b) is a ** b, the others are numpy's
 ALLOWED_FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt", "pow")
 
-_ALLOWED_CHARS = re.compile(r"^[A-Za-z0-9_+\-*/^().,\s]*$")
-_ALLOWED_OPS = {"+", "-", "*", "/", "**", "^", "(", ")", ","}
-
-
-def _check_tokens(text, names):
-    if not _ALLOWED_CHARS.match(text):
-        raise InvalidExpression(f"illegal character in expression {text!r}")
-    try:
-        toks = list(tokenize.generate_tokens(io.StringIO(text).readline))
-    except tokenize.TokenError as exc:
-        raise InvalidExpression(f"cannot tokenize {text!r}: {exc}") from exc
-    for tok in toks:
-        if tok.type == tokenize.NAME:
-            name = tok.string
-            if keyword.iskeyword(name):
-                raise InvalidExpression(f"keyword {name!r} not allowed")
-            if name not in names and name not in ALLOWED_FUNCTIONS and name != "pi":
-                raise InvalidExpression(
-                    f"unknown symbol {name!r} in expression {text!r}"
-                )
-        elif tok.type == tokenize.OP:
-            if tok.string not in _ALLOWED_OPS:
-                raise InvalidExpression(f"operator {tok.string!r} not allowed")
-        elif tok.type in (
-            tokenize.NUMBER,
-            tokenize.NEWLINE,
-            tokenize.NL,
-            tokenize.ENDMARKER,
-            tokenize.INDENT,
-            tokenize.DEDENT,
-        ):
-            continue
-        else:
-            raise InvalidExpression(f"token {tok.string!r} not allowed")
+# ASCII letters and digits, the grammar's punctuation, and space, tab, newline
+# and form feed: no carriage return or other control character gets through
+_ALLOWED_CHARS = re.compile(r"[A-Za-z0-9_+\-*/^().,\t\n\f ]*")
 
 
 # -- trees ------------------------------------------------------------------
@@ -138,6 +106,7 @@ def _tree(node, variables):
             return ("num", math.pi)
         if node.id in variables:
             return ("var", variables[node.id])
+        raise InvalidExpression(f"unknown symbol {node.id!r}")
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ALLOWED_FUNCTIONS and not node.keywords
             and len(node.args) == (2 if node.func.id == "pow" else 1)):
@@ -147,9 +116,12 @@ def _tree(node, variables):
 
 
 def _parse(text, variables):
-    _check_tokens(text, variables)
+    if not _ALLOWED_CHARS.fullmatch(text):
+        raise InvalidExpression(f"illegal character in expression {text!r}")
     try:
-        body = ast.parse(text.replace("^", "**").strip(), mode="eval").body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            body = ast.parse(text.replace("^", "**").strip(), mode="eval").body
         return _tree(body, variables)
     except (SyntaxError, RecursionError, InvalidExpression) as exc:
         raise InvalidExpression(f"cannot parse {text!r}: {exc}") from exc
@@ -260,7 +232,8 @@ def _bind(fn, shape, values):
     """A blockwise x -> ndarray: a block (N, n) gives (N, *shape) from one
     call of `fn`, which takes the coordinates followed by the constants'
     `values` and returns the flat list of entries.  Constant entries, which
-    numpy evaluates to scalars, are broadcast."""
+    numpy evaluates to scalars, are broadcast.  Failing constant-only
+    arithmetic (1/0, an int beyond the float range) raises InvalidExpression."""
     size = math.prod(shape)
 
     def wrapped(x):
@@ -268,8 +241,11 @@ def _bind(fn, shape, values):
         if x.ndim != 2:
             raise ValueError(f"expected a block of points (N, n), got shape {x.shape}")
         out = np.empty((len(x), size))
-        for k, value in enumerate(fn(*x.T, *values)):
-            out[:, k] = value
+        try:
+            for k, value in enumerate(fn(*x.T, *values)):
+                out[:, k] = value
+        except ArithmeticError as exc:
+            raise InvalidExpression(f"constant arithmetic fails: {exc}") from None
         return out.reshape((len(x),) + shape)
 
     return blockwise(wrapped)
@@ -329,9 +305,9 @@ class Template:
         if not unequal:
             return True
         probes = np.random.default_rng(0).uniform(0.5, 1.5, (8, self.dim))
+        fn = _bind(_function(self.arguments, unequal), (len(unequal),), values)
         with np.errstate(all="ignore"):
-            got = np.array([np.broadcast_to(v, len(probes)) for v in
-                            _function(self.arguments, unequal)(*probes.T, *values)])
+            got = fn(probes).T
         return np.allclose(got[0::2], got[1::2], rtol=1e-12, atol=0.0, equal_nan=True)
 
     def bind(self, constants=None):

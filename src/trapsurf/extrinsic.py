@@ -25,7 +25,7 @@ import numpy as np
 
 from . import quadrature
 from .embedding import Embedding, InducedPointData, NodeBundle
-from .errors import DerivativeFailure, NotNormal, NotSpacelike
+from .errors import DerivativeFailure, NotLorentzian, NotNormal, NotSpacelike
 from .geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, as_point,
                        causal_label, raise_first)
 from .quadrature import GridSpec
@@ -116,6 +116,19 @@ def normal_frame(E: Embedding, data, t_vec):
     return np.where(flip[:, None], -n, n), n2
 
 
+def _future(E: Embedding, data):
+    """The declared future vector T (N, D) at induced block `data`, where g
+    must be Lorentzian (one negative eigenvalue) and T timelike."""
+    t_vec = E.ambient.future_block(data.p)
+    lorentzian = data.negatives == 1
+    timelike = np.einsum("km,kmn,kn->k", t_vec, data.g, t_vec) < 0.0
+    raise_first(~(lorentzian & timelike), NotLorentzian, lambda i: (
+        f"metric {E.ambient.name!r} at {data.p[i]} (u={data.u[i]} of {E.name!r}): "
+        + (f"the future vector T = {t_vec[i]} is not timelike" if lorentzian[i]
+           else f"g has {data.negatives[i]} negative eigenvalues, not 1")))
+    return t_vec
+
+
 def _require_spacelike(E: Embedding, data):
     raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
                 lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
@@ -133,8 +146,9 @@ def null_normal_pair(E: Embedding, u, outward):
     if E.codim != 2:
         raise ValueError("null normal pair requires codimension 2")
     data = E.induced_block(as_point(u)[None])
+    t_vec = _future(E, data)
     _require_spacelike(E, data)
-    n, n2 = normal_frame(E, data, E.ambient.future_block(data.p))
+    n, n2 = normal_frame(E, data, t_vec)
     if not (n2[0, 0] < 0.0 < n2[0, 1]):
         raise NotSpacelike("normal metric is not Lorentzian")
     l_a, l_b = (n[0] @ [[1.0, 1.0], [1.0, -1.0]]).T / np.sqrt(2.0)
@@ -159,14 +173,14 @@ class LabelColumns(NamedTuple):
 def _classify_block(E: Embedding, us, tol):
     """Label columns at a block of parameter points.
 
-    Requires the submanifold to be spacelike at every node (gamma positive
-    definite) and a Lorentzian ambient with a time orientation.
+    Requires a Lorentzian ambient with a timelike future vector and a
+    spacelike submanifold (gamma positive definite) at every node.
     """
     ext = extrinsic_block(E, us)
     data = ext.base
+    t_vec = _future(E, data)
     _require_spacelike(E, data)
     g, h_vec = data.g, ext.mean_curvature
-    t_vec = E.ambient.future_block(data.p)
     causal, time = causal_label(h_vec, g, data.absg, t_vec, tol=tol)
     scale = np.einsum("km,kmn,kn->k", h_vec, data.absg, h_vec)
     ref_norm = np.sqrt(np.maximum(scale, 0.0))

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from . import expressions, findiff
-from .errors import DegenerateMetric, PointOutsideChart
+from .errors import ConfigError, DegenerateMetric, PointOutsideChart
 
 DEGENERACY_TOL = 1e-12
 NULL_BAND_TOL = 1e-9
@@ -33,8 +33,13 @@ class TimeOrientation(str, Enum):
 def absolute_metric(g):
     """|g| of a matrix or of a block of matrices: same eigenvectors,
     absolute eigenvalues."""
+    return metric_norm(g)[0]
+
+
+def metric_norm(g):
+    """|g| and the number of negative eigenvalues of g, from one `eigh`."""
     w, v = np.linalg.eigh(g)
-    return (v * np.abs(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return (v * np.abs(w)[..., None, :]) @ np.swapaxes(v, -1, -2), (w < 0.0).sum(-1)
 
 
 # label codes: index into these arrays
@@ -140,7 +145,8 @@ class MetricField:
     `components(p)` returns the symmetric D x D matrix g_{mu nu}(p);
     `derivatives(p)`, when supplied, returns dg[rho, mu, nu] = d_rho g_{mu nu}.
     `time_orientation` is a VectorField-like callable p -> T^mu declared
-    future-pointing (Lorentzian case).  `chart_domain(p)` is a predicate.
+    future-pointing; classification checks g(T, T) < 0 at each node.
+    `chart_domain(p)` is a predicate.
     Callables not marked blockwise are lifted to blocks (one call per
     node).  The `*_block` methods evaluate a block of points (N, D) in one
     call; the per-point methods are their N = 1 case.
@@ -151,25 +157,18 @@ class MetricField:
     derivatives: object = None
     time_orientation: object = None
     chart_domain: object = None
-    signature: tuple = None
     coordinates: tuple = None
     name: str = ""
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("ambient dimension must be at least 2")
-        if self.signature is None:
-            object.__setattr__(self, "signature", (-1,) + (1,) * (self.dim - 1))
         if self.coordinates is None:
             object.__setattr__(
                 self, "coordinates", tuple(f"x{i}" for i in range(self.dim))
             )
         for name in ("components", "derivatives", "time_orientation", "chart_domain"):
             object.__setattr__(self, name, expressions.lift(getattr(self, name)))
-
-    @property
-    def is_lorentzian(self):
-        return sorted(self.signature) == [-1] + [1] * (self.dim - 1)
 
     def _check_chart(self, points):
         """A block of points (N, D), every one finite and inside the chart."""
@@ -232,10 +231,9 @@ class MetricField:
 
     def future_block(self, points):
         """The declared future-pointing vector T^mu at each point of a block."""
-        if not self.is_lorentzian:
-            raise ValueError("causal classification requires a Lorentzian metric")
         if self.time_orientation is None:
-            raise ValueError("causal classification requires a time orientation")
+            raise ConfigError(f"metric {self.name!r} has no time orientation; "
+                              "causal classification requires one")
         return np.asarray(self.time_orientation(as_points(points)), dtype=float)
 
     def without_analytic_derivatives(self):
@@ -249,7 +247,6 @@ def metric_from_expressions(
     constants=None,
     time_orientation=None,
     chart_bounds=None,
-    signature=None,
     name="",
 ):
     """Build a MetricField (with analytic derivatives) from expression strings.
@@ -289,7 +286,6 @@ def metric_from_expressions(
         derivatives=deriv_fn,
         time_orientation=orient_fn,
         chart_domain=domain_fn,
-        signature=tuple(signature) if signature is not None else None,
         coordinates=coordinates,
         name=name,
     )

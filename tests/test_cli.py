@@ -7,6 +7,7 @@ import pytest
 from trapsurf import cli, extrinsic
 from trapsurf.embedding import Embedding
 from trapsurf.extrinsic import ClassificationReport
+from trapsurf.quadrature import GridSpec, grid_nodes
 
 
 def run(capsys, *argv):
@@ -510,13 +511,29 @@ def _empty_domain(cfg):
 
 
 def _tuple_in_map(cfg):
-    # passes the token check, but a tuple is not in the grammar
+    # every character is allowed, but a tuple is not in the grammar
     cfg["embedding"]["inline"]["map"][1] = "(R, 1)"
+
+
+# constant-only arithmetic runs in Python numbers at the first evaluation
+def _constant_division_by_zero(cfg):
+    cfg["embedding"]["inline"]["constants"] = {"R": 1.5}
+    cfg["embedding"]["inline"]["map"][0] = "R + 1/(R - 1.5)"
+
+
+def _constant_zero_power(cfg):
+    cfg["embedding"]["inline"]["map"][0] = "R + 0**(-1)"
+
+
+def _constant_overflow(cfg):
+    cfg["embedding"]["inline"]["map"][0] = "R + 10**400"
 
 
 @pytest.mark.parametrize("mutate", [_non_number_constant, _no_components,
                                     _asymmetric_metric, _short_domain,
-                                    _reversed_domain, _empty_domain, _tuple_in_map])
+                                    _reversed_domain, _empty_domain, _tuple_in_map,
+                                    _constant_division_by_zero, _constant_zero_power,
+                                    _constant_overflow])
 def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     cfg = _inline_sphere_config()
     path = tmp_path / "run.json"
@@ -528,6 +545,76 @@ def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     code, _, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
     assert code == 64
     assert json.loads(err)["error"]["type"] in ("ConfigError", "InvalidExpression")
+
+
+def _all_plus_metric(cfg):
+    cfg["metric"]["inline"]["components"][0][0] = "1"
+
+
+def _rw_spacelike_future(cfg):
+    # a = t: the comoving r = 5 sphere at t = 2, with x as the "future"
+    metric = cfg["metric"]["inline"]
+    for i in (1, 2, 3):
+        metric["components"][i][i] = "t**2"
+    metric["chart_bounds"] = [[0.0, None], [None, None], [None, None], [None, None]]
+    metric["time_orientation"] = ["0", "1", "0", "0"]
+    cfg["embedding"]["inline"]["constants"] = {"R": 5.0}
+    cfg["embedding"]["inline"]["map"][0] = "2"
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_all_plus_metric, "negative eigenvalues"),
+    (_rw_spacelike_future, "is not timelike"),
+])
+def test_classification_requires_a_lorentzian_metric_and_timelike_future(
+        tmp_path, capsys, mutate, failing):
+    cfg = _inline_sphere_config()
+    mutate(cfg)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "NotLorentzian"
+    # every node fails, so the message names the grid's first one
+    domain = cfg["embedding"]["inline"]["domain"]
+    first = grid_nodes(domain, (False, False), GridSpec((4, 4)))[0][0]
+    assert failing in error["message"] and f"u={first}" in error["message"]
+
+
+def test_rw_sphere_with_a_timelike_future_is_classified(tmp_path, capsys):
+    cfg = _inline_sphere_config()
+    _rw_spacelike_future(cfg)
+    cfg["metric"]["inline"]["time_orientation"] = ["1", "0", "0", "0"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 0
+    assert "verdict:   PastTrapped" in out
+
+
+def _no_time_orientation(cfg):
+    del cfg["metric"]["inline"]["time_orientation"]
+
+
+def _signature_key(cfg):
+    cfg["metric"]["inline"]["signature"] = [-1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_no_time_orientation, "no time orientation"),
+    (_signature_key, "unknown key(s) ['signature']"),
+])
+def test_classification_metric_declarations_are_config_errors(tmp_path, capsys,
+                                                              mutate, message):
+    cfg = _inline_sphere_config()
+    mutate(cfg)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert (code, out) == (64, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and message in error["message"]
 
 
 def _non_finite_metric(cfg):
@@ -765,6 +852,23 @@ def test_verify_uses_the_config_grid(tmp_path, capsys, command):
     code, _, err = run(capsys, "verify", command, "--config", str(path))
     assert code == 64
     assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["killing", "variation"])
+def test_inline_field_coordinates_must_match_the_ambient(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"},
+                   {"inline": {"coordinates": ["x", "y", "z"],
+                               "components": ["x", "y", "z"]}}],
+    }))
+    code, out, err = run(capsys, "verify", command, "--config", str(path))
+    assert (code, out) == (64, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "fields[1]" in error["message"] and "3 coordinates" in error["message"]
 
 
 def test_classification_csv_cells_are_numbers(tmp_path, capsys):

@@ -1,10 +1,18 @@
+import io
+import keyword
 import math
+import re
+import tokenize
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trapsurf import expressions
 from trapsurf.errors import InvalidExpression
-from trapsurf.expressions import template
+from trapsurf.expressions import ALLOWED_FUNCTIONS, Template, template
 
 NAMES = ("r", "th")
 
@@ -41,7 +49,7 @@ def test_constants_are_substituted():
 
 
 def test_unknown_symbol_rejected():
-    with pytest.raises(InvalidExpression):
+    with pytest.raises(InvalidExpression, match="unknown symbol 'q'"):
         parse("r + q")
 
 
@@ -65,7 +73,7 @@ def test_keywords_rejected():
     "{'a': 1}",
     "r; th",
     'getattr(r, "conjugate")',
-    # texts the token check lets through, but that are not in the grammar
+    # texts of allowed characters that are not in the grammar
     "(r, 1)",
     "2j * r",
     "1e400 * r",
@@ -74,6 +82,15 @@ def test_keywords_rejected():
     "sin(r, th)",
     "pow(r)",
     "r(th)",
+    "1if r",
+    "r if r else th",
+    "True*r",
+    "not r",
+    # characters outside the whitelist
+    "r # c",
+    "r\x1f",
+    "r\x0b+1",
+    "6\r",
 ])
 def test_injection_attempts_rejected(bad):
     with pytest.raises(InvalidExpression):
@@ -85,3 +102,73 @@ def test_parse_matrix_shape():
     fn, = compiled.bind()
     assert compiled.shape == (2, 2)
     assert np.array_equal(fn([[2.0, 0.5]]), [[[2.0, 0.0], [0.0, math.sin(0.5)]]])
+
+
+def test_a_syntax_warning_is_an_invalid_expression(recwarn):
+    with pytest.raises(InvalidExpression, match="invalid decimal literal"):
+        parse("1if r")
+    assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
+
+
+@pytest.mark.parametrize("text", ["R + 1/(R - 1.5)", "R + 0**(-1)", "R + 10**400",
+                                  "10**400"])
+def test_failing_constant_arithmetic_is_an_invalid_expression(text):
+    fn, = template(NAMES, [text], {"R": 1.5}).bind({"R": 1.5})
+    with pytest.raises(InvalidExpression, match="constant arithmetic"):
+        fn([[2.0, 0.5]])
+
+
+# texts from the grammar's characters and words, the keywords and some near
+# misses: grammar-like compositions, half of their pieces from the grammar,
+# and free runs of characters and words
+_WORDS = [*NAMES, "M", "pi", "0", "2", "0.5", "1e3"]
+_ODD_WORDS = ["1e400", "2j", "_x0", "__class__", *keyword.kwlist]
+_OPS = ["+", "-", "*", "/", "**", "^", " + ", "\t*", "\f/"]
+_ODD_JOINS = [",", ".", "(", " ", "", "\n", "\r", "\x0b",
+              *(f" {k} " for k in keyword.kwlist)]
+
+
+def _either(good, odd):
+    return st.one_of(st.sampled_from(good), st.sampled_from(odd))
+
+
+_COMPOSED = st.recursive(_either(_WORDS, _ODD_WORDS), lambda inner: st.one_of(
+    st.builds("{}{}{}".format, inner, _either(_OPS, _ODD_JOINS), inner),
+    st.builds("{}({})".format, st.sampled_from(["", "-", *ALLOWED_FUNCTIONS]), inner)),
+    max_leaves=8)
+_RUNS = st.lists(st.sampled_from(list("rthM0123456789_+-*/^()., ") + _ODD_JOINS
+                                 + _ODD_WORDS), max_size=12).map("".join)
+_TEXTS = st.one_of(_COMPOSED, _RUNS)
+_SOURCE_NAME = re.compile(r"_[xc][0-9]+")
+_SOURCE_OPS = {"+", "-", "*", "/", "**", "(", ")", ","}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_TEXTS)
+def test_generated_source_holds_only_grammar_tokens(text):
+    # a text is rejected, or every token of the source compiled from it, and
+    # from its first and second derivatives, is an argument name, a finite
+    # number, an operator or a grammar function
+    sources = []
+    real = expressions._function
+
+    def recording(arguments, trees):
+        sources.extend(map(expressions._source, trees))
+        return real(arguments, trees)
+
+    with mock.patch.object(expressions, "_function", recording):
+        try:
+            Template(NAMES, (text,), ("M",), 2, False)
+        except InvalidExpression:
+            return
+    assert sources
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert _SOURCE_NAME.fullmatch(tok.string) or tok.string in ALLOWED_FUNCTIONS
+            elif tok.type == tokenize.NUMBER:
+                assert math.isfinite(float(tok.string)), source
+            elif tok.type == tokenize.OP:
+                assert tok.string in _SOURCE_OPS, source
+            else:
+                assert tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER), tok

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trapsurf import catalog
 from trapsurf.embedding import Embedding, embedding_from_expressions
-from trapsurf.errors import NotNormal, NotSpacelike
+from trapsurf.errors import ConfigError, NotLorentzian, NotNormal, NotSpacelike
 from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (
     LabelColumns,
@@ -28,7 +28,7 @@ from trapsurf.extrinsic import (
     second_fundamental_form,
 )
 from trapsurf.geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
-                               MetricField, TimeOrientation)
+                               MetricField, TimeOrientation, metric_from_expressions)
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -233,6 +233,26 @@ def test_null_normal_pair_requires_spacelike_codim2():
         null_normal_pair(cat("timelike_plane"), [0.1, 0.1], [0, 0, 1, 0])
     with pytest.raises(ValueError):
         null_normal_pair(cat("straight_line"), [0.5], [0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("g00, space, orientation, error", [
+    ("1", "1", ["1", "0", "0", "0"], NotLorentzian),          # all plus
+    ("-1", "t**2", ["0", "1", "0", "0"], NotLorentzian),      # RW, spacelike T
+    ("-1", "t**2", None, ConfigError),                        # no time orientation
+])
+def test_causal_classification_checks_the_ambient_at_every_node(g00, space,
+                                                                orientation, error):
+    comps = [[g00 if i == j == 0 else space if i == j else "0" for j in range(4)]
+             for i in range(4)]
+    metric = metric_from_expressions(("t", "x", "y", "z"), comps,
+                                     time_orientation=orientation)
+    sphere = embedding_from_expressions(
+        metric, ("th", "ph"), ["2", "5*sin(th)*cos(ph)", "5*sin(th)*sin(ph)", "5*cos(th)"],
+        param_domain=[(0.0, math.pi), (0.0, 2.0 * math.pi)], periodic=(False, True))
+    with pytest.raises(error):
+        null_normal_pair(sphere, [1.0, 0.5], [0, 1, 0, 0])
+    with pytest.raises(error):
+        classify_submanifold(sphere, GridSpec((4, 4)))
 
 
 def _node_labels(cols):
