@@ -30,13 +30,42 @@ def _node_value(value, i):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def sym_det(m):
+    """det of a block of symmetric matrices (N, d, d), closed form for d <= 2."""
+    if m.shape[-1] == 1:
+        return m[:, 0, 0]
+    if m.shape[-1] == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    return np.linalg.det(m)
+
+
+def sym_inv(m, det):
+    """The inverse of a block of symmetric matrices (N, d, d) whose
+    determinants are `det`, in closed form for d <= 2."""
+    if m.shape[-1] > 2:
+        return np.linalg.inv(m)
+    if m.shape[-1] == 1:
+        return 1.0 / m
+    return m[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det[:, None, None]  # adj / det
+
+
+def gram_det(e):
+    """det(e^T e) of a block of frames e (N, D, d).  For d = 2 it is the sum
+    of the squared 2 x 2 minors of e (Lagrange's identity), so a nearly
+    parallel pair is not lost to cancellation."""
+    if e.shape[-1] != 2:
+        return sym_det(np.swapaxes(e, 1, 2) @ e)
+    minors = e[:, :, None, 0] * e[:, None, :, 1] - e[:, :, None, 1] * e[:, None, :, 0]
+    return 0.5 * np.einsum("kmn,kmn->k", minors, minors)
+
+
 @dataclass(frozen=True)
 class InducedPointData(NodeBundle):
     """Induced data at parameter points u: one point, or a block from
     `Embedding.induced_block` with a leading node axis on every field.
 
     `Embedding.induced_block` is the one place a node's ambient metric is
-    evaluated; consumers read g and |g| from this bundle.
+    evaluated and factorized; consumers read g, |g| and g^-1 from this bundle.
     """
 
     u: np.ndarray
@@ -44,6 +73,7 @@ class InducedPointData(NodeBundle):
     g: np.ndarray           # ambient g_{mu nu} at p
     absg: np.ndarray        # positive-definite reference norm |g| at p
     negatives: np.ndarray   # number of negative eigenvalues of g at p
+    g_inv: np.ndarray       # g^{mu nu}, from the same eigh as |g|
     frame: np.ndarray       # e[mu, a] = d Phi^mu / d u^a
     gamma: np.ndarray       # gamma_{ab} = g(e_a, e_b)
     gamma_inv: np.ndarray
@@ -138,14 +168,15 @@ class Embedding:
         """`induced_block` at parameter points us whose ambient points p and
         frames e are given; a failing check names the surface `name`."""
         g = self.ambient.metric_block(p)
-        rank = np.linalg.matrix_rank(e, tol=1e-10 * (1.0 + np.abs(e).max(axis=(1, 2))))
-        raise_first(rank < self.dim, RankDeficientImmersion, lambda i: (
+        # scale-free: det(e^T e) against the product of its diagonal
+        norms2 = np.prod(np.einsum("kma,kma->ka", e, e), axis=1)
+        raise_first(~(gram_det(e) > 1e-20 * norms2), RankDeficientImmersion, lambda i: (
             f"jacobian of {name!r} rank-deficient at u={us[i]}"))
         gamma = np.swapaxes(e, 1, 2) @ g @ e
         gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-        absg, negatives = metric_norm(g)
+        absg, negatives, g_inv = metric_norm(g)
         ref = np.einsum("kma,kmn,kna->ka", e, absg, e)
-        det = np.linalg.det(gamma)
+        det = sym_det(gamma)
         tiny = np.finfo(float).tiny
         raise_first(np.abs(det) < 1e-12 * np.prod(np.maximum(ref, tiny), axis=1),
                     DegenerateInducedMetric, lambda i: (
@@ -156,9 +187,10 @@ class Embedding:
             g=g,
             absg=absg,
             negatives=negatives,
+            g_inv=g_inv,
             frame=e,
             gamma=gamma,
-            gamma_inv=np.linalg.inv(gamma),
+            gamma_inv=sym_inv(gamma, det),
             vol_density=np.sqrt(np.abs(det)),
         )
 

@@ -23,6 +23,7 @@ numpy; no text of the caller reaches it.
 import ast
 import functools
 import math
+import operator
 import re
 import warnings
 
@@ -81,15 +82,33 @@ def _pow(a, b):
     return _ONE if _is(b, 0) else a if _is(b, 1) else ("**", a, b)
 
 
-_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow}
+# each operator's tree constructor and its float arithmetic
+_BINARY = {ast.Add: (_add, operator.add), ast.Sub: (_sub, operator.sub),
+           ast.Mult: (_mul, operator.mul), ast.Div: (_div, operator.truediv),
+           ast.Pow: (_pow, operator.pow)}
+
+
+def _binary(op, a, b):
+    """The tree of a op b, two literals folded in float arithmetic: a
+    literal-only text such as 7**7**9 fails here, not at every evaluation."""
+    build, arithmetic = _BINARY[op]
+    if a[0] != "num" or b[0] != "num":
+        return build(a, b)
+    try:
+        value = arithmetic(float(a[1]), float(b[1]))
+    except ArithmeticError as exc:
+        raise InvalidExpression(f"constant arithmetic fails: {exc}") from None
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise InvalidExpression(f"constant arithmetic gives {value!r}")
+    return ("num", value)
 
 
 def _tree(node, variables):
     """The grammar tree of an `ast` node; `variables` maps each name to its
     argument name."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_tree(node.left, variables),
-                                      _tree(node.right, variables))
+        return _binary(type(node.op), _tree(node.left, variables),
+                       _tree(node.right, variables))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _tree(node.operand, variables)
         return _neg(operand) if isinstance(node.op, ast.USub) else operand
@@ -111,7 +130,7 @@ def _tree(node, variables):
             and node.func.id in ALLOWED_FUNCTIONS and not node.keywords
             and len(node.args) == (2 if node.func.id == "pow" else 1)):
         args = [_tree(arg, variables) for arg in node.args]
-        return _pow(*args) if node.func.id == "pow" else (node.func.id, *args)
+        return _binary(ast.Pow, *args) if node.func.id == "pow" else (node.func.id, *args)
     raise InvalidExpression(f"{ast.unparse(node)!r} is not in the expression grammar")
 
 

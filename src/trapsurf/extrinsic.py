@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quadrature
-from .embedding import Embedding, InducedPointData, NodeBundle
+from .embedding import Embedding, InducedPointData, NodeBundle, sym_det
 from .errors import DerivativeFailure, NotLorentzian, NotNormal, NotSpacelike
 from .geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, as_point,
                        causal_label, raise_first)
@@ -53,7 +53,7 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     from a derivative."""
     data = E.induced_block(us)
     dg = E.ambient.partials_block(data.p)
-    gam = E.ambient.christoffel_block(data.p, g=data.g, dg=dg)
+    gam = E.ambient.christoffel_block(data.p, g_inv=data.g_inv, dg=dg)
     hess = E.second_frame_block(data.u)
     # grad[mu, a, b] = d_a e_b^mu + Gamma^mu_{rho sigma} e_a^rho e_b^sigma
     gam_e = gam @ data.frame[:, None]                   # [k, mu, rho, b]
@@ -129,8 +129,16 @@ def _future(E: Embedding, data):
     return t_vec
 
 
+def positive_definite(gamma):
+    """Whether each induced metric of a block (N, d, d) is positive definite:
+    Sylvester's gamma_00 > 0 and det > 0 for d <= 2, else the least eigenvalue."""
+    if gamma.shape[-1] <= 2:
+        return (gamma[:, 0, 0] > 0.0) & (sym_det(gamma) > 0.0)
+    return np.linalg.eigvalsh(gamma)[:, 0] > 0.0
+
+
 def _require_spacelike(E: Embedding, data):
-    raise_first(np.linalg.eigvalsh(data.gamma)[:, 0] <= 0.0, NotSpacelike,
+    raise_first(~positive_definite(data.gamma), NotSpacelike,
                 lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
 
 

@@ -30,16 +30,12 @@ class TimeOrientation(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-def absolute_metric(g):
-    """|g| of a matrix or of a block of matrices: same eigenvectors,
-    absolute eigenvalues."""
-    return metric_norm(g)[0]
-
-
 def metric_norm(g):
-    """|g| and the number of negative eigenvalues of g, from one `eigh`."""
+    """|g|, the number of negative eigenvalues of g, and g^-1, all from one `eigh`
+    g = V diag(w) V^T: |g| = V diag|w| V^T and g^-1 = V diag(1/w) V^T."""
     w, v = np.linalg.eigh(g)
-    return (v * np.abs(w)[..., None, :]) @ np.swapaxes(v, -1, -2), (w < 0.0).sum(-1)
+    vt = np.swapaxes(v, -1, -2)
+    return (v * np.abs(w)[..., None, :]) @ vt, (w < 0.0).sum(-1), (v / w[..., None, :]) @ vt
 
 
 # label codes: index into these arrays
@@ -208,10 +204,10 @@ class MetricField:
             return np.asarray(self.derivatives(points), dtype=float)
         return findiff.gradient(self.metric_block, points)
 
-    def christoffel_block(self, points, g=None, dg=None):
-        """Gamma^mu_{rho sigma} at each point of a block; `g` and `dg` are
-        the metric and its partials there when the caller already has them."""
-        g_inv = np.linalg.inv(self.metric_block(points) if g is None else g)
+    def christoffel_block(self, points, g_inv=None, dg=None):
+        """Gamma^mu_{rho sigma} at each point of a block; `g_inv` and `dg` are
+        the inverse metric and its partials there when the caller has them."""
+        g_inv = np.linalg.inv(self.metric_block(points)) if g_inv is None else g_inv
         dg = self.partials_block(points) if dg is None else dg
         # 1/2 g^{mu nu} (d_rho g_{nu sigma} + d_sigma g_{nu rho} - d_nu g_{rho sigma})
         bracket = (
@@ -227,7 +223,7 @@ class MetricField:
 
     def reference_norm_matrix(self, p):
         """Positive-definite |g|: same eigenvectors, absolute eigenvalues."""
-        return absolute_metric(self.at(p))
+        return metric_norm(self.at(p))[0]
 
     def future_block(self, points):
         """The declared future-pointing vector T^mu at each point of a block."""

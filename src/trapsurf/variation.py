@@ -204,9 +204,9 @@ class ConformalData:
         return self.residual < CONFORMAL_TOL
 
 
-def _psi(g, lie):
-    """Psi = tr(Lie_xi g) / (2 D) at each node."""
-    return np.einsum("kmn,kmn->k", np.linalg.inv(g), lie) / (2.0 * g.shape[-1])
+def _psi(g_inv, lie):
+    """Psi = tr(Lie_xi g) / (2 D) at each node, from the inverse metric."""
+    return np.einsum("kmn,kmn->k", g_inv, lie) / (2.0 * g_inv.shape[-1])
 
 
 def conformal_check(metric: MetricField, xi: VectorField, sample_points):
@@ -216,7 +216,7 @@ def conformal_check(metric: MetricField, xi: VectorField, sample_points):
     g = metric.metric_block(points)
     lie = lie_derivative(g, metric.partials_block(points), xi.value_block(points),
                          xi.jacobian_block(points))
-    psi = _psi(g, lie)
+    psi = _psi(np.linalg.inv(g), lie)
     residual = float(np.abs(lie - (2.0 * psi)[:, None, None] * g).max(initial=0.0))
     return ConformalData(psi=psi, residual=residual)
 
@@ -254,7 +254,7 @@ def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec):
         ext = extrinsic_block(E, block)
         xi_val, xi_jac = xi.value_block(ext.base.p), xi.jacobian_block(ext.base.p)
         lie = lie_derivative(ext.base.g, ext.dg, xi_val, xi_jac)
-        return _psi(ext.base.g, lie), _flux(xi_val, ext), ext.base.vol_density
+        return _psi(ext.base.g_inv, lie), _flux(xi_val, ext), ext.base.vol_density
 
     psi_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
     lhs = float(np.sum(weights * psi_vals * dens))

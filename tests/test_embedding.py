@@ -9,6 +9,7 @@ from trapsurf.errors import (
     NotClosed,
     RankDeficientImmersion,
 )
+from trapsurf.extrinsic import classify_submanifold
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -64,6 +65,27 @@ def test_rank_deficient_map_rejected():
     )
     with pytest.raises(RankDeficientImmersion):
         collapsed.induced([0.5, 0.5])
+
+
+def test_nearly_collapsed_map_rejected():
+    # at u = 0, e2 = e1 + 1e-13 e_x: the Gram ratio det(e^T e) / (|e1|^2 |e2|^2)
+    # is 1.7e-26, while G11 G22 - G12^2 of the rounded G = e^T e is 5.6e-17
+    nearly = embedding_from_expressions(
+        cat("minkowski"), ("u1", "u2"),
+        ["0", "0.2*u1 + (0.2 + 1e-13)*u2", "0.7*u1 + 0.7*u2", "u1*u2"],
+        param_domain=[(0.0, 1.0), (0.0, 1.0)], name="nearly_collapsed",
+    )
+    with pytest.raises(RankDeficientImmersion, match="nearly_collapsed"):
+        nearly.induced([0.0, 0.0])
+    assert nearly.induced([0.5, 0.37]).vol_density > 0.0
+
+
+@pytest.mark.parametrize("radius", [1e-9, 1e-12])
+def test_immersion_test_is_scale_free(radius):
+    # a sphere of radius R is as well immersed as one of radius 1
+    report = classify_submanifold(cat("round_sphere", radius=radius), GridSpec((8, 8)))
+    assert report.verdict == "AbsolutelyNonTrapped"
+    assert np.allclose(report.columns.h_norm2 * radius**2, 4.0, rtol=1e-12, atol=0.0)
 
 
 def test_decompose_examples():

@@ -113,9 +113,28 @@ def test_a_syntax_warning_is_an_invalid_expression(recwarn):
 @pytest.mark.parametrize("text", ["R + 1/(R - 1.5)", "R + 0**(-1)", "R + 10**400",
                                   "10**400"])
 def test_failing_constant_arithmetic_is_an_invalid_expression(text):
-    fn, = template(NAMES, [text], {"R": 1.5}).bind({"R": 1.5})
+    # arithmetic with a constant's value fails at the first evaluation,
+    # literal-only arithmetic already when the template is built (below)
     with pytest.raises(InvalidExpression, match="constant arithmetic"):
+        fn, = template(NAMES, [text], {"R": 1.5}).bind({"R": 1.5})
         fn([[2.0, 0.5]])
+
+
+@pytest.mark.parametrize("text", ["R + 7**7**9", "R + 7**(7**7)", "pow(7, pow(7, 7))",
+                                  "R + 0**(-1)", "R + 10**400", "10**400", "r * (1e308*10)",
+                                  "th + (-8)**(1/3)"])
+def test_literal_arithmetic_fails_when_the_template_is_built(text):
+    # exact integer powers once took minutes at every evaluation; folded in
+    # float arithmetic, they overflow while the tree is built
+    with pytest.raises(InvalidExpression, match="constant arithmetic"):
+        template(NAMES, [text], {"R": 1.5})
+
+
+def test_literal_subtrees_fold_to_one_number():
+    compiled = template(NAMES, ["r * (2**3 - 1/4)", "2**-1 * th"])
+    assert compiled.trees == [("*", ("var", "_x0"), ("num", 7.75)),
+                              ("*", ("num", 0.5), ("var", "_x1"))]
+    assert value("pow(2, 10) + r") == 1026.0
 
 
 # texts from the grammar's characters and words, the keywords and some near

@@ -10,10 +10,10 @@ from trapsurf.geometry import (
     Causal,
     TimeOrientation,
     VectorField,
-    absolute_metric,
     causal_label,
     lie_derivative,
     metric_from_expressions,
+    metric_norm,
     vector_field_from_expressions,
 )
 
@@ -73,7 +73,7 @@ def _labels(metric, vs, p):
     """(Causal, TimeOrientation) of each vector of the block `vs` at p."""
     ps = np.repeat(np.asarray(p, dtype=float)[None], len(vs), axis=0)
     g = metric.metric_block(ps)
-    causal, time = causal_label(np.asarray(vs, dtype=float), g, absolute_metric(g),
+    causal, time = causal_label(np.asarray(vs, dtype=float), g, metric_norm(g)[0],
                                 metric.future_block(ps))
     return list(zip(_CAUSAL_CODES[causal], _TIME_CODES[time]))
 

@@ -1,17 +1,20 @@
 """The batched grid kernel against its N = 1 view, node by node."""
 
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapsurf import catalog
 from trapsurf.embedding import embedding_from_expressions
 from trapsurf.errors import NotSpacelike, PointOutsideChart
 from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (_classify_block, classify_submanifold, extrinsic_block,
-                                extrinsic_data)
+                                extrinsic_data, positive_definite)
 from trapsurf.geometry import NULL_BAND_TOL, MetricField, VectorField
 from trapsurf.quadrature import GridSpec, grid_nodes
 from trapsurf.sampling import random_polynomial_field
@@ -144,3 +147,62 @@ def test_library_objects_are_natively_blockwise():
     objects += [xi, flowed_embedding(sphere, xi, 1e-4)]
     for obj in objects:
         assert _lifted(obj) == [], obj.name
+
+
+def test_the_kernel_factorizes_each_node_once(monkeypatch):
+    # the np.linalg calls of a classification on blocks of matrices (N, n, n),
+    # by name and shape (the Gauss rule's eigvalsh takes one matrix)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "matrix_rank", "inv", "det", "solve"):
+        def recording(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) == 3:
+                calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    grid = GridSpec((16, 32))
+    classify_submanifold(cat("ef_sphere", radius=2.0), grid)
+    monkeypatch.undo()
+    blocks = [(256, 4, 4)] * (16 * 32 // 256)
+    assert len(blocks) == 2
+    assert [shape for name, shape in calls if name == "eigh"] == blocks
+    assert not [call for call in calls if call[0] in ("eigvalsh", "svd", "matrix_rank")]
+    assert ("inv", (256, 4, 4)) not in calls
+    assert not [call for call in calls if call[1][1:] == (2, 2)]   # gamma is 2 x 2
+    assert [shape for name, shape in calls if name == "det"] == blocks  # metric_block
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(_FRACTIONS, min_size=1, max_size=6))
+@pytest.mark.parametrize("name", EMBEDDINGS)
+def test_bundle_algebra_matches_numpy(name, fractions):
+    emb = cat(name)
+    box = np.asarray(emb.sample_box())
+    us = box[:, 0] + np.asarray(fractions)[:, :emb.dim] * (box[:, 1] - box[:, 0])
+    data = emb.induced_block(us)
+    eye = np.eye(emb.ambient.dim)
+    for k in range(len(us)):
+        g, gamma = data.g[k], data.gamma[k]
+        assert np.abs(data.g_inv[k] @ g - eye).max() <= 1e-13 * np.linalg.cond(g)
+        bound = 1e-13 * np.linalg.cond(gamma)
+        inverse = np.linalg.inv(gamma)
+        assert np.abs(data.gamma_inv[k] - inverse).max() <= bound * np.abs(inverse).max()
+        volume = math.sqrt(abs(np.linalg.det(gamma)))
+        assert abs(data.vol_density[k] - volume) <= bound * volume
+    spacelike = np.linalg.eigvalsh(data.gamma)[:, 0] > 0.0
+    assert np.array_equal(positive_definite(data.gamma), spacelike)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+def test_sylvester_agrees_with_the_least_eigenvalue(d, sizes, negative, seed):
+    # gamma = Q diag(w) Q^T with |w| in [0.1, 10], so no sign is in doubt
+    w = np.where(negative, -1.0, 1.0)[:d] * np.asarray(sizes)[:d]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    gamma = (q * w) @ q.T
+    gamma = 0.5 * (gamma + gamma.T)[None]
+    assert positive_definite(gamma)[0] == (np.linalg.eigvalsh(gamma)[0, 0] > 0.0)
+    assert positive_definite(gamma)[0] == (w > 0.0).all()
