@@ -3,6 +3,7 @@ volume density and quadrature.
 """
 
 from dataclasses import dataclass, fields, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -50,11 +51,14 @@ def sym_inv(m, det):
 
 
 def gram_det(e):
-    """det(e^T e) of a block of frames e (N, D, d).  For d = 2 it is the sum
-    of the squared 2 x 2 minors of e (Lagrange's identity), so a nearly
-    parallel pair is not lost to cancellation."""
-    if e.shape[-1] != 2:
-        return sym_det(np.swapaxes(e, 1, 2) @ e)
+    """det(e^T e) of a block of frames e (N, D, d): the sum of the squared
+    d x d minors of e (Cauchy-Binet), so a nearly dependent frame is not lost
+    to cancellation.  The minors are closed forms for d <= 2."""
+    D, d = e.shape[1:]
+    if d == 1:
+        return np.einsum("kma,kma->k", e, e)
+    if d > 2:
+        return np.sum(np.linalg.det(e[:, list(combinations(range(D), d))]) ** 2, axis=1)
     minors = e[:, :, None, 0] * e[:, None, :, 1] - e[:, :, None, 1] * e[:, None, :, 0]
     return 0.5 * np.einsum("kmn,kmn->k", minors, minors)
 
@@ -86,7 +90,8 @@ class Embedding:
 
     `chart_map(u)` returns the ambient point; `jacobian(u)` (optional,
     analytic) returns J[mu, a] = d Phi^mu / d u^a and `hessian(u)` returns
-    H[mu, a, b] = d^2 Phi^mu / d u^a d u^b.  Callables not marked blockwise
+    H[mu, a, b] = d^2 Phi^mu / d u^a d u^b.  Each one absent is a finite
+    difference of `chart_map`.  Callables not marked blockwise
     are lifted to blocks (one call per node).  `param_domain` is the
     axis-aligned sampling/quadrature box; evaluation outside it is allowed
     wherever the map and ambient chart remain valid (finite differences
@@ -153,9 +158,6 @@ class Embedding:
         us = as_points(us)
         if self.hessian is not None:
             return np.asarray(self.hessian(us), dtype=float)
-        if self.jacobian is not None:
-            # d_a of the analytic jacobian: grad[k, a, mu, b] -> [k, mu, a, b]
-            return findiff.gradient(self.jacobian, us).transpose(0, 2, 1, 3)
         return findiff.hessian(self.chart_map, us).transpose(0, 3, 1, 2)
 
     def induced_block(self, us):
@@ -194,10 +196,6 @@ class Embedding:
             vol_density=np.sqrt(np.abs(det)),
         )
 
-    def induced(self, u):
-        """Frame, induced metric, inverse and volume density at u."""
-        return self.induced_block(as_point(u)[None]).node(0)
-
     def decompose(self, v, data):
         """Split ambient vectors into (tangent, normal) parts at induced
         `data`: one vector (D,) or column vectors (D, k) at one point, or
@@ -207,18 +205,17 @@ class Embedding:
         v_tan = data.frame @ (data.gamma_inv @ w)
         return v_tan, v - v_tan
 
-    def volume_nodes(self, grid: GridSpec, allow_boundary, name):
-        """Volume quadrature nodes and weights of the surface `name`."""
-        if not self.closed and not allow_boundary:
-            raise NotClosed(
-                f"embedding {name!r} is not closed; pass allow_boundary=True "
-                "to integrate over the open parameter box anyway"
-            )
+    def volume_nodes(self, grid: GridSpec, name):
+        """Quadrature nodes and weights of an integral over the surface
+        `name`, which must be closed: the one gate of every surface integral."""
+        if not self.closed:
+            raise NotClosed(f"embedding {name!r} is not closed; surface integrals "
+                            "need a closed submanifold")
         return quadrature.grid_nodes(self.param_domain, self.periodic, grid)
 
-    def volume(self, grid: GridSpec, allow_boundary=False):
+    def volume(self, grid: GridSpec):
         """Quadrature of the induced volume density over the parameter box."""
-        points, weights = self.volume_nodes(grid, allow_boundary, self.name)
+        points, weights = self.volume_nodes(grid, self.name)
         density, = quadrature.map_blocks(
             lambda us: (self.induced_block(us).vol_density,), points)
         return float(np.sum(weights * density))

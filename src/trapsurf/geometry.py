@@ -193,9 +193,6 @@ class MetricField:
                         else f"metric {self.name!r} not finite at {points[i]}"))
         return g
 
-    def at(self, p):
-        return self.metric_block(as_point(p)[None])[0]
-
     def partials_block(self, points):
         """dg[k, rho, mu, nu] = d_rho g_{mu nu} at each point of a block,
         analytic or finite-difference."""
@@ -223,7 +220,7 @@ class MetricField:
 
     def reference_norm_matrix(self, p):
         """Positive-definite |g|: same eigenvectors, absolute eigenvalues."""
-        return metric_norm(self.at(p))[0]
+        return metric_norm(self.metric_block(as_point(p)[None]))[0][0]
 
     def future_block(self, points):
         """The declared future-pointing vector T^mu at each point of a block."""

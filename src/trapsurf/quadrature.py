@@ -65,23 +65,13 @@ def axis_rule(lo, hi, n, rule, periodic):
     return x, w
 
 
-def grid_rules(domain, periodic, spec: GridSpec):
-    """Per-axis (nodes, weights) for a box `domain` of shape (d, 2)."""
-    domain = np.asarray(domain, dtype=float)
-    d = domain.shape[0]
-    if len(spec.points_per_axis) != d:
-        raise ValueError("points_per_axis length must match parameter dimension")
-    return [
-        axis_rule(domain[a, 0], domain[a, 1], spec.points_per_axis[a], spec.rule,
-                  periodic[a])
-        for a in range(d)
-    ]
-
-
 def grid_nodes(domain, periodic, spec: GridSpec):
-    """All tensor-product nodes (N, d), first axis slowest, and combined
-    weights (N,)."""
-    rules = grid_rules(domain, periodic, spec)
+    """All tensor-product nodes (N, d) of a box `domain` of shape (d, 2),
+    first axis slowest, and combined weights (N,)."""
+    if len(spec.points_per_axis) != len(domain):
+        raise ValueError("points_per_axis length must match parameter dimension")
+    rules = [axis_rule(lo, hi, n, spec.rule, per) for (lo, hi), n, per
+             in zip(domain, spec.points_per_axis, periodic)]
     axes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
     points = np.stack(axes, axis=-1).reshape(-1, len(rules))
     # products taken left to right, as np.prod over each node's weights

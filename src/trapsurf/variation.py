@@ -15,9 +15,9 @@ import numpy as np
 
 from . import findiff, quadrature
 from .embedding import Embedding
-from .errors import FlowLeftChart, NotClosed, NotConformal, PointOutsideChart
+from .errors import FlowLeftChart, NotConformal, PointOutsideChart
 from .extrinsic import extrinsic_block
-from .geometry import MetricField, VectorField, as_point, lie_derivative
+from .geometry import MetricField, VectorField, as_point, lie_derivative, metric_norm
 from .quadrature import GridSpec
 
 CONFORMAL_TOL = 1e-8
@@ -49,7 +49,9 @@ def first_variation_density(E: Embedding, xi: VectorField, u):
     """(1/2) tr_gamma of the pullback of Lie_xi g: the logarithmic rate of
     change of the induced volume element along the flow of xi.  The N = 1
     case of identity_sides' left side, from the induced bundle and dg
-    alone (no K)."""
+    alone (no K).  It stays its own evaluation: as a view of identity_sides
+    it gives the same bits but builds K and the right side it drops, about
+    1.6 times its time per call."""
     data = E.induced_block(as_point(u)[None])
     p = data.p
     lhs = _lie_trace(data, E.ambient.partials_block(p), xi.value_block(p),
@@ -111,18 +113,15 @@ class VariationResult:
     expansion_term: float
 
 
-def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec,
-                     allow_boundary=False):
+def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec):
     """First variation of volume along xi by quadrature of the identity.
 
     The divergence term is reported as a diagnostic.  It integrates to ~0
     only for a field that is smooth on a closed S: a chart polynomial that
     is not periodic on S can make it dominate (on `verify variation --seed
-    4`'s failing ef_sphere case it is 89.4 of a total of -3.25).  With
-    `allow_boundary` the integral is taken over the open box and the
-    divergence term is an unverified boundary contribution.
+    4`'s failing ef_sphere case it is 89.4 of a total of -3.25).
     """
-    points, weights = E.volume_nodes(grid, allow_boundary, E.name)
+    points, weights = E.volume_nodes(grid, E.name)
 
     def terms(block):
         ext = extrinsic_block(E, block)
@@ -167,15 +166,14 @@ def flow_block(metric: MetricField, xi: VectorField, points, tau):
     return inside(p + (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec,
-                       allow_boundary=False):
+def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec):
     """Central-difference dV/dtau from the volumes of the flowed S_{+tau}
     and S_{-tau}, whose frames are differentiated numerically (no analytic
     jacobian, keeping the oracle independent of the identity path).  Phi and
     the first RK4 stage at the nodes and stencil points serve both."""
     tau = flow.tau_step
     names = [f"{E.name}@tau={t:g}" for t in (tau, -tau)]
-    points, weights = E.volume_nodes(grid, allow_boundary, names[0])
+    points, weights = E.volume_nodes(grid, names[0])
 
     def flowed(x):
         # Phi at parameter points (M, d) flowed to +tau and -tau: (M, 2, D)
@@ -199,14 +197,13 @@ class ConformalData:
     psi: np.ndarray        # Psi at the sample points (N,)
     residual: float
 
-    @property
-    def accepted(self):
-        return self.residual < CONFORMAL_TOL
 
-
-def _psi(g_inv, lie):
-    """Psi = tr(Lie_xi g) / (2 D) at each node, from the inverse metric."""
-    return np.einsum("kmn,kmn->k", g_inv, lie) / (2.0 * g_inv.shape[-1])
+def _conformal(g, g_inv, dg, xi_val, xi_jac):
+    """Psi = tr(Lie_xi g) / (2 D) at each node, and the largest component of
+    |Lie_xi g - 2 Psi g| there, from g, g^-1, dg and xi's values and jacobian."""
+    lie = lie_derivative(g, dg, xi_val, xi_jac)
+    psi = np.einsum("kmn,kmn->k", g_inv, lie) / (2.0 * g.shape[-1])
+    return psi, np.abs(lie - (2.0 * psi)[:, None, None] * g).max(axis=(1, 2))
 
 
 def conformal_check(metric: MetricField, xi: VectorField, sample_points):
@@ -214,11 +211,9 @@ def conformal_check(metric: MetricField, xi: VectorField, sample_points):
     residual of Lie_xi g = 2 Psi g there."""
     points = np.asarray(sample_points, dtype=float)
     g = metric.metric_block(points)
-    lie = lie_derivative(g, metric.partials_block(points), xi.value_block(points),
-                         xi.jacobian_block(points))
-    psi = _psi(np.linalg.inv(g), lie)
-    residual = float(np.abs(lie - (2.0 * psi)[:, None, None] * g).max(initial=0.0))
-    return ConformalData(psi=psi, residual=residual)
+    psi, residual = _conformal(g, metric_norm(g)[2], metric.partials_block(points),
+                               xi.value_block(points), xi.jacobian_block(points))
+    return ConformalData(psi=psi, residual=float(residual.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -235,28 +230,27 @@ class KillingIntegralResult:
 def killing_integral_check(E: Embedding, xi: VectorField, grid: GridSpec):
     """Verify int_S Psi = (1/d) int_S g(xi, H) for a conformal Killing xi.
 
-    Also evaluates the sign obstruction: when Psi has a uniform sign on
-    the grid, g(xi, H) must integrate to the same sign, which restricts H
-    from being non-spacelike with the wrong orientation.
+    Lie_xi g = 2 Psi g is checked at every node, from the same Lie_xi g
+    that gives Psi there.  Also evaluates the sign obstruction: when Psi
+    has a uniform sign on the grid, g(xi, H) must integrate to the same
+    sign, which restricts H from being non-spacelike with the wrong
+    orientation.
     """
-    if not E.closed:
-        raise NotClosed("the integral identity requires a closed submanifold")
-    points, weights = quadrature.grid_nodes(E.param_domain, E.periodic, grid)
-    sample = E.point_block(points[:: max(1, len(points) // 16)])
-    conformal = conformal_check(E.ambient, xi, sample)
-    if not conformal.accepted:
-        raise NotConformal(
-            f"field {xi.name!r} fails the conformal residual test: "
-            f"{conformal.residual:.3e} >= {CONFORMAL_TOL:.3e}"
-        )
+    points, weights = E.volume_nodes(grid, E.name)
 
     def terms(block):
         ext = extrinsic_block(E, block)
         xi_val, xi_jac = xi.value_block(ext.base.p), xi.jacobian_block(ext.base.p)
-        lie = lie_derivative(ext.base.g, ext.dg, xi_val, xi_jac)
-        return _psi(ext.base.g_inv, lie), _flux(xi_val, ext), ext.base.vol_density
+        psi, conf = _conformal(ext.base.g, ext.base.g_inv, ext.dg, xi_val, xi_jac)
+        return psi, conf, _flux(xi_val, ext), ext.base.vol_density
 
-    psi_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
+    psi_vals, conf_vals, flux_vals, dens = quadrature.map_blocks(terms, points)
+    conformal = float(conf_vals.max(initial=0.0))
+    if not conformal < CONFORMAL_TOL:
+        raise NotConformal(
+            f"field {xi.name!r} fails the conformal residual test: "
+            f"{conformal:.3e} >= {CONFORMAL_TOL:.3e}"
+        )
     lhs = float(np.sum(weights * psi_vals * dens))
     flux = float(np.sum(weights * flux_vals * dens))
     rhs = flux / E.dim
@@ -305,10 +299,6 @@ class ParallelFitResult:
     lambdas: np.ndarray
     max_residual: float
     spacelike_somewhere: bool
-
-    @property
-    def parallel(self):
-        return self.max_residual < PARALLEL_TOL
 
 
 def null_killing_constraint_check(E: Embedding, xi: VectorField, grid: GridSpec):

@@ -776,6 +776,20 @@ def test_verify_killing(tmp_path, capsys):
     assert {c["psi_sign"] for c in report["cases"]} == {"positive", "zero"}
 
 
+def test_verify_killing_rejects_a_field_conformal_only_where_y_vanishes(tmp_path, capsys):
+    # Lie_xi g != 0 wherever y != 0 on the sphere, so no Killing verdict holds
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "embedding": {"catalog": "round_sphere"},
+        "fields": [{"inline": {"coordinates": ["t", "x", "y", "z"],
+                               "components": ["1 + y**2", "0", "0", "0"]}}],
+    }))
+    code, out, err = run(capsys, "verify", "killing", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "NotConformal"
+
+
 def test_verify_variation(tmp_path, capsys):
     out_json = tmp_path / "variation.json"
     code, _, _ = run(capsys, "verify", "variation", "--pairs", "2",

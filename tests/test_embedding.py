@@ -35,13 +35,13 @@ def circle():
 
 
 def test_plane_induced_metric():
-    data = cat("spacelike_plane").induced([0.3, -0.6])
+    data = cat("spacelike_plane").induced_block([[0.3, -0.6]]).node(0)
     assert np.allclose(data.gamma, np.eye(2))
     assert data.vol_density == pytest.approx(1.0)
 
 
 def test_sphere_induced_metric_at_equator():
-    data = cat("round_sphere").induced([math.pi / 2, 0.0])
+    data = cat("round_sphere").induced_block([[math.pi / 2, 0.0]]).node(0)
     assert np.allclose(data.p, [0.0, 2.0, 0.0, 0.0])
     assert np.allclose(data.frame[:, 0], [0.0, 0.0, 0.0, -2.0])
     assert np.allclose(data.frame[:, 1], [0.0, 0.0, 2.0, 0.0])
@@ -55,7 +55,7 @@ def test_null_curve_is_degenerate():
         param_domain=[(0.0, 1.0)], name="null_line",
     )
     with pytest.raises(DegenerateInducedMetric):
-        null_line.induced([0.5])
+        null_line.induced_block([[0.5]])
 
 
 def test_rank_deficient_map_rejected():
@@ -64,7 +64,7 @@ def test_rank_deficient_map_rejected():
         param_domain=[(0.0, 1.0), (0.0, 1.0)], name="collapsed",
     )
     with pytest.raises(RankDeficientImmersion):
-        collapsed.induced([0.5, 0.5])
+        collapsed.induced_block([[0.5, 0.5]])
 
 
 def test_nearly_collapsed_map_rejected():
@@ -76,8 +76,26 @@ def test_nearly_collapsed_map_rejected():
         param_domain=[(0.0, 1.0), (0.0, 1.0)], name="nearly_collapsed",
     )
     with pytest.raises(RankDeficientImmersion, match="nearly_collapsed"):
-        nearly.induced([0.0, 0.0])
-    assert nearly.induced([0.5, 0.37]).vol_density > 0.0
+        nearly.induced_block([[0.0, 0.0]])
+    assert nearly.induced_block([[0.5, 0.37]]).vol_density[0] > 0.0
+
+
+def test_nearly_collapsed_three_frame_rejected():
+    # e3 = e1 + e2 + 1e-12 e_z: the Gram ratio is below 1e-24, and summing
+    # squared 3 x 3 minors keeps it there, where an LU determinant of e^T e
+    # leaves rounding noise of +-1e-16 of either sign
+    rows = [f"a{i}*u1 + b{i}*u2 + (a{i} + b{i})*u3" for i in range(3)]
+    rows[2] += " + 1e-12*u3"
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        coeffs = dict(zip([f"{k}{i}" for k in "ab" for i in range(3)],
+                          rng.uniform(-1.0, 1.0, 6)))
+        flat = embedding_from_expressions(
+            cat("minkowski"), ("u1", "u2", "u3"), ["0", *rows],
+            param_domain=[(0.0, 1.0)] * 3, constants=coeffs, name="collapsed3",
+        )
+        with pytest.raises(RankDeficientImmersion, match="collapsed3"):
+            flat.induced_block([[0.5, 0.5, 0.5]])
 
 
 @pytest.mark.parametrize("radius", [1e-9, 1e-12])
@@ -90,7 +108,7 @@ def test_immersion_test_is_scale_free(radius):
 
 def test_decompose_examples():
     sphere = cat("round_sphere")
-    data = sphere.induced([math.pi / 2, 0.0])
+    data = sphere.induced_block([[math.pi / 2, 0.0]]).node(0)
     tan, nor = sphere.decompose([0.0, 1.0, 0.0, 0.0], data)
     assert np.allclose(tan, 0.0, atol=1e-12)
     assert np.allclose(nor, [0.0, 1.0, 0.0, 0.0])
@@ -106,10 +124,10 @@ def test_decompose_properties(rng):
         emb = embeddings[rng.integers(len(embeddings))]
         u = emb.random_parameter_point(rng)
         v = rng.normal(size=emb.ambient.dim)
-        data = emb.induced(u)
+        data = emb.induced_block([u]).node(0)
         tan, nor = emb.decompose(v, data)
         assert np.allclose(tan + nor, v, atol=1e-10)
-        g = emb.ambient.at(data.p)
+        g = emb.ambient.metric_block([data.p])[0]
         for a in range(emb.dim):
             assert abs(nor @ g @ data.frame[:, a]) < 1e-10 * (1 + np.abs(v).max())
         tan2, nor2 = emb.decompose(tan, data)
@@ -121,7 +139,7 @@ def test_decompose_block_matches_columns(rng):
     for name in ("ef_sphere", "t_const_hypersurface_rw", "accelerated_curve"):
         emb = cat(name)
         u = emb.random_parameter_point(rng)
-        data = emb.induced(u)
+        data = emb.induced_block([u]).node(0)
         block = rng.normal(size=(emb.ambient.dim, 3))
         tan, nor = emb.decompose(block, data)
         for k in range(3):
@@ -143,12 +161,9 @@ def test_closed_volumes():
     assert circle().volume(GridSpec((16,))) == pytest.approx(TWO_PI, rel=1e-12)
 
 
-def test_volume_requires_closed_or_explicit_boundary():
-    plane = cat("spacelike_plane")
-    with pytest.raises(NotClosed):
-        plane.volume(GridSpec((8, 8)))
-    assert plane.volume(GridSpec((8, 8)), allow_boundary=True) == pytest.approx(
-        4.0, rel=1e-12)
+def test_volume_requires_closed():
+    with pytest.raises(NotClosed, match="spacelike_plane"):
+        cat("spacelike_plane").volume(GridSpec((8, 8)))
 
 
 def test_gauss_rule_converges_on_polar_axis():

@@ -28,7 +28,7 @@ from trapsurf.extrinsic import (
     second_fundamental_form,
 )
 from trapsurf.geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
-                               MetricField, TimeOrientation, metric_from_expressions)
+                               TimeOrientation, metric_from_expressions)
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -61,7 +61,7 @@ def test_sphere_shape_tensor_closed_form(rng):
         assert np.allclose(ext.shape, expected, atol=1e-10)
         # H = (2/r) n_hat points outward, so the volume grows along H
         assert np.allclose(ext.mean_curvature, n_hat, atol=1e-10)
-        g = sphere.ambient.at(ext.base.p)
+        g = sphere.ambient.metric_block([ext.base.p])[0]
         assert float(ext.mean_curvature @ g @ n_hat) == pytest.approx(1.0,
                                                                       abs=1e-10)
 
@@ -74,7 +74,7 @@ def test_shape_tensor_is_symmetric_and_normal(rng):
         u = emb.random_parameter_point(rng)
         ext = extrinsic_data(emb, u)
         assert np.max(np.abs(ext.shape - ext.shape.transpose(0, 2, 1))) < 1e-10
-        g = emb.ambient.at(ext.base.p)
+        g = emb.ambient.metric_block([ext.base.p])[0]
         scale = 1.0 + np.abs(ext.shape).max()
         for a in range(emb.dim):
             for b in range(emb.dim):
@@ -88,7 +88,7 @@ def test_normality_of_finite_difference_shape(rng):
     for _ in range(5):
         u = emb.random_parameter_point(rng)
         ext = extrinsic_data(emb, u)
-        g = emb.ambient.at(ext.base.p)
+        g = emb.ambient.metric_block([ext.base.p])[0]
         for a in range(emb.dim):
             inner = ext.mean_curvature @ g @ ext.base.frame[:, a]
             assert abs(inner) < 1e-5
@@ -97,7 +97,7 @@ def test_normality_of_finite_difference_shape(rng):
 def test_second_fundamental_form_and_trace(rng):
     sphere = cat("round_sphere")
     u = sphere.random_parameter_point(rng)
-    data = sphere.induced(u)
+    data = sphere.induced_block([u]).node(0)
     n_hat = sphere_unit_normal(u)
     k_n = second_fundamental_form(sphere, u, n_hat)
     assert np.allclose(k_n, data.gamma / 2.0, atol=1e-10)
@@ -110,7 +110,7 @@ def test_second_fundamental_form_and_trace(rng):
 def test_non_normal_vector_rejected(rng):
     sphere = cat("round_sphere")
     u = sphere.random_parameter_point(rng)
-    tangent = sphere.induced(u).frame[:, 1]
+    tangent = sphere.induced_block([u]).node(0).frame[:, 1]
     with pytest.raises(NotNormal):
         expansion(sphere, u, tangent)
     with pytest.raises(NotNormal):
@@ -168,7 +168,7 @@ def test_null_normal_pair_expansions():
     # horizon sphere: outgoing expansion vanishes, ingoing is negative
     horizon = cat("ef_sphere", radius=2.0)
     lp, lm = null_normal_pair(horizon, u, outward)
-    g = horizon.ambient.at(horizon.point(u))
+    g = horizon.ambient.metric_block([horizon.point(u)])[0]
     t_vec = horizon.ambient.time_orientation(horizon.point(u)[None])[0]
     assert abs(lp @ g @ lp) < 1e-10
     assert abs(lm @ g @ lm) < 1e-10
@@ -195,7 +195,8 @@ def test_null_expansions_give_the_mean_curvature_norm(rng):
     # g(H, H) = -2 theta_+ theta_- with g(l+, l-) = -1, on every spacelike
     # codimension-2 catalog surface and across the Schwarzschild horizon
     cases = [emb for emb in _catalog_embeddings() if emb.codim == 2 and np.all(
-        np.linalg.eigvalsh(emb.induced(emb.random_parameter_point(rng)).gamma) > 0.0)]
+        np.linalg.eigvalsh(emb.induced_block([emb.random_parameter_point(rng)]).gamma[0])
+        > 0.0)]
     cases += [cat("ef_sphere", radius=r) for r in (1.5, 2.0, 3.0)]
     assert len(cases) >= 12
     for emb in cases:
@@ -203,7 +204,7 @@ def test_null_expansions_give_the_mean_curvature_norm(rng):
             u = emb.random_parameter_point(rng)
             lp, lm = null_normal_pair(emb, u, rng.normal(size=4))
             p = emb.point(u)
-            g, t_vec = emb.ambient.at(p), emb.ambient.future_block(p[None])[0]
+            g, t_vec = emb.ambient.metric_block([p])[0], emb.ambient.future_block(p[None])[0]
             assert abs(lp @ g @ lp) < 1e-12 and abs(lm @ g @ lm) < 1e-12
             assert lp @ g @ lm == pytest.approx(-1.0, abs=1e-12)
             assert lp @ g @ t_vec < 0.0 and lm @ g @ t_vec < 0.0
@@ -215,17 +216,22 @@ def test_null_expansions_give_the_mean_curvature_norm(rng):
 def test_finite_differences_match_the_analytic_extrinsic_bundle(rng):
     # FD errors in d^2 Phi are absolute in the ambient scale, and gamma^-1
     # amplifies them by the induced metric's condition number: near the
-    # poles of a sphere chart it grows like 1/sin^2(theta)
+    # poles of a sphere chart it grows like 1/sin^2(theta).  An embedding
+    # given a jacobian but no hessian differences Phi for its second frame.
     for emb in _catalog_embeddings():
         us = np.array([emb.random_parameter_point(rng) for _ in range(64)])
         analytic = extrinsic_block(emb, us)
-        fd = extrinsic_block(emb.without_analytic_derivatives(), us)
         bound = 1e-7 * np.linalg.cond(analytic.base.gamma)
-        for a, f in ((analytic.shape, fd.shape),
-                     (analytic.mean_curvature, fd.mean_curvature),
-                     (analytic.h_norm2, fd.h_norm2)):
-            err = (np.abs(f - a) / np.maximum(1.0, np.abs(a))).reshape(len(us), -1)
-            assert np.all(err.max(axis=1) <= bound), emb.name
+        no_hessian = replace(emb, hessian=None)
+        assert np.array_equal(no_hessian.second_frame_block(us),
+                              emb.without_analytic_derivatives().second_frame_block(us))
+        for fd in (extrinsic_block(emb.without_analytic_derivatives(), us),
+                   extrinsic_block(no_hessian, us)):
+            for a, f in ((analytic.shape, fd.shape),
+                         (analytic.mean_curvature, fd.mean_curvature),
+                         (analytic.h_norm2, fd.h_norm2)):
+                err = (np.abs(f - a) / np.maximum(1.0, np.abs(a))).reshape(len(us), -1)
+                assert np.all(err.max(axis=1) <= bound), emb.name
 
 
 def test_null_normal_pair_requires_spacelike_codim2():
@@ -298,18 +304,18 @@ def test_node_geometry_is_evaluated_once(monkeypatch):
         return components(points)
 
     counted = replace(emb, ambient=replace(emb.ambient, components=counted_components))
-    calls = {"at": 0, "decompose": 0}
-    for cls, name in ((MetricField, "at"), (Embedding, "decompose")):
-        def wrapped(self, *args, _original=getattr(cls, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    decomposes = []
 
-        monkeypatch.setattr(cls, name, wrapped)
+    def counted_decompose(self, *args, _original=Embedding.decompose):
+        decomposes.append(1)
+        return _original(self, *args)
+
+    monkeypatch.setattr(Embedding, "decompose", counted_decompose)
     report = classify_submanifold(counted, GridSpec((4, 8)))
     assert len(report.columns.u) == 32
     # one batched evaluation of g serves the frame, |g|, Christoffels and labels
     assert blocks == [(32, 4)]
-    assert calls == {"at": 0, "decompose": 1}
+    assert decomposes == [1]
 
 
 def test_classification_verdicts():

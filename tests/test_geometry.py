@@ -31,17 +31,17 @@ def two_dim_expanding():
 
 
 def test_minkowski_components():
-    g = cat("minkowski").at([0.3, -1.0, 2.0, 0.5])
+    g = cat("minkowski").metric_block([[0.3, -1.0, 2.0, 0.5]])[0]
     assert np.allclose(g, np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
 def test_robertson_walker_components():
-    g = cat("robertson_walker", scale="t2").at([2.0, 0.0, 0.0, 0.0])
+    g = cat("robertson_walker", scale="t2").metric_block([[2.0, 0.0, 0.0, 0.0]])[0]
     assert np.allclose(g, np.diag([-1.0, 16.0, 16.0, 16.0]))
 
 
 def test_schwarzschild_ef_components_at_horizon():
-    g = cat("schwarzschild_ef").at([0.0, 2.0, math.pi / 2, 0.0])
+    g = cat("schwarzschild_ef").metric_block([[0.0, 2.0, math.pi / 2, 0.0]])[0]
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 1.0
     expected[2, 2] = 4.0
@@ -148,7 +148,7 @@ def test_finite_difference_partials_match_analytic(rng):
 
 def _compatibility_residual(metric, p):
     dg = metric.partials_block(p[None])[0]
-    g = metric.at(p)
+    g = metric.metric_block([p])[0]
     gam = metric.christoffel_at(p)
     # nabla_rho g_{mu nu} must vanish for the Levi-Civita connection
     nabla = (dg
@@ -179,7 +179,7 @@ def test_vector_field_fd_jacobian_matches_analytic(rng):
 def test_point_outside_chart():
     rw = cat("robertson_walker")
     with pytest.raises(PointOutsideChart):
-        rw.at([-1.0, 0.0, 0.0, 0.0])
+        rw.metric_block([[-1.0, 0.0, 0.0, 0.0]])
     ef = cat("schwarzschild_ef")
     with pytest.raises(PointOutsideChart):
         ef.christoffel_at([0.0, -0.5, 1.0, 0.0])
@@ -189,7 +189,7 @@ def test_degenerate_metric_detected():
     g2 = metric_from_expressions(("t", "x"), [["-1", "0"], ["0", "t**2"]],
                                  name="unbounded")
     with pytest.raises(DegenerateMetric):
-        g2.at([0.0, 1.0])
+        g2.metric_block([[0.0, 1.0]])
 
 
 def test_metric_must_be_symmetric():

@@ -95,7 +95,7 @@ def test_batched_errors_name_the_first_failing_node():
     )
     first = _first_failing_node(plane, grid, lambda u: u[:, 0] >= 0.0)
     with pytest.raises(PointOutsideChart, match=_printed(plane.point(first))):
-        plane.volume(grid, allow_boundary=True)
+        plane.induced_block(grid_nodes(plane.param_domain, plane.periodic, grid)[0])
 
 
 def _blocks_only(fn):
@@ -116,7 +116,7 @@ def test_callables_only_ever_see_blocks():
     u, p = np.array([1.1, 0.4]), np.array([0.5, 1.0, -2.0, 0.3])
     assert np.array_equal(emb.point(u), sphere.point(u))
     assert np.array_equal(field.at(p), xi.at(p))
-    assert np.array_equal(metric.at(p), mink.at(p))
+    assert np.array_equal(metric.metric_block([p])[0], mink.metric_block([p])[0])
     label, expected = (_classify_block(e, u[None], NULL_BAND_TOL) for e in (emb, sphere))
     assert np.array_equal(label.causal, expected.causal)
     assert np.array_equal(label.h_norm2, expected.h_norm2)

@@ -57,7 +57,7 @@ def test_bad_text_raises_on_every_attempt(bad):
 def test_symmetry_is_checked_at_the_objects_values():
     comps = [["-1", "a"], ["b", "1"]]
     metric = metric_from_expressions(("t", "x"), comps, constants={"a": 0.25, "b": 0.25})
-    assert np.array_equal(metric.at([0.0, 0.0]), [[-1.0, 0.25], [0.25, 1.0]])
+    assert np.array_equal(metric.metric_block([[0.0, 0.0]])[0], [[-1.0, 0.25], [0.25, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         metric_from_expressions(("t", "x"), comps, constants={"a": 0.25, "b": 0.5})
     with pytest.raises(ValueError, match="symmetric"):
@@ -69,7 +69,8 @@ def test_symmetry_is_checked_at_the_objects_values():
 def test_symmetry_accepts_equal_values_of_different_texts(upper, lower):
     comps = [["-1", upper, "0"], [lower, "1", "0"], ["0", "0", "1"]]
     metric = metric_from_expressions(("t", "x", "y"), comps, constants={"a": 0.25})
-    assert metric.at([0.5, 2.0, 0.0])[0, 1] == metric.at([0.5, 2.0, 0.0])[1, 0]
+    g = metric.metric_block([[0.5, 2.0, 0.0]])[0]
+    assert g[0, 1] == g[1, 0]
 
 
 def test_constant_shadowing_a_coordinate_is_a_constant():
