@@ -22,7 +22,7 @@ xi = catalog.instantiate("radial_unit")
 grid = GridSpec((16, 16))
 
 identity = volume_variation(sphere, xi, grid)
-oracle = flow_volume_oracle(sphere, FlowSpec(xi, tau_step=1e-4), grid)
+oracle = flow_volume_oracle(sphere, FlowSpec(xi, tau_step=1e-6), grid)
 target = 8.0 * math.pi * 2.0
 
 print(f"identity quadrature : {identity.total:.12f}")

@@ -342,8 +342,8 @@ def build_parser():
                        help="seed of the random pairs (default 0; not with --config)")
     p_var.add_argument("--pairs", type=int,
                        help="random pairs (default 20; not with --config)")
-    p_var.add_argument("--tau", type=float, default=1e-4,
-                       help="flow parameter for the oracle")
+    p_var.add_argument("--tau", type=float, default=1e-6,
+                       help="time of the oracle's RK4 steps to +-tau (default 1e-6)")
 
     p_cat = sub.add_parser("catalog", help="list or show catalog entries")
     p_cat.add_argument("action", choices=("list", "show"))

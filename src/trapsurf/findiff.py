@@ -1,12 +1,13 @@
-"""Central finite-difference stencils, 4th order accurate, on blocks of
-points.
+"""Central finite-difference stencils on blocks of points.
 
 Used as the fallback whenever analytic derivative callbacks are not
 supplied.  The stencil is an extra axis on the block: the shifted points
 of all nodes are stacked and handed to `f`, which maps a block of points
 (M, n) to values (M, ...), in blocks of at most BLOCK_NODES points.  First
-derivatives use the 5-point stencil with per-node step
-h = eps**(1/3) * (1 + |x|); second derivatives use the wider-optimal
+derivatives use the 4th-order 5-point stencil (`gradient`) or the 3-point
+one (`gradient3`) with per-node step h = eps**(1/3) * (1 + |x|).  Both are
+limited by roundoff there, O(eps**(2/3)), and the 3-point O(h**2) truncation
+is of that order too.  Second derivatives (4th order) use the wider-optimal
 h = eps**(1/6) * (1 + |x|) so that roundoff and truncation balance.
 """
 
@@ -61,6 +62,15 @@ def gradient(f, x):
         out.append((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2)
                    / (12.0 * _per_node(h[:, i], fm2)))
     return np.stack(out, axis=1)
+
+
+def gradient3(f, x):
+    """`gradient` by the 3-point central stencil (f(x + h) - f(x - h)) / 2h."""
+    x = np.asarray(x, dtype=float)
+    h = STEP_FIRST * (1.0 + np.abs(x))
+    vals = _eval(f, [_shift(x, h, i, o) for i in range(x.shape[1]) for o in (-1.0, 1.0)])
+    return np.stack([(vals[2 * i + 1] - vals[2 * i]) / (2.0 * _per_node(h[:, i], vals[0]))
+                     for i in range(x.shape[1])], axis=1)
 
 
 def hessian(f, x):

@@ -140,11 +140,12 @@ def volume_variation(E: Embedding, xi: VectorField, grid: GridSpec):
 
 
 def flow_block(metric: MetricField, xi: VectorField, points, tau):
-    """Transport each point of a block (N, D) along the flow of xi to
-    parameter time tau with one RK4 step.  For a 1-d array of T times the
-    flows are stacked time-major, (T * N, D), and the first stage, common to
-    all times, is evaluated once.  Every stage point and end point must lie
-    in the metric's chart; FlowLeftChart names the first one that does not."""
+    """The step (tau/6)(k1 + 2 k2 + 2 k3 + k4) of one RK4 step along the flow
+    of xi to parameter time tau, taking each point of a block (N, D) to point
+    + step.  For a 1-d array of T times the steps are stacked time-major,
+    (T * N, D), and the first stage, common to all times, is evaluated once.
+    Every stage point and end point must lie in the metric's chart;
+    FlowLeftChart names the first one that does not."""
 
     def inside(x):
         try:
@@ -163,27 +164,32 @@ def flow_block(metric: MetricField, xi: VectorField, points, tau):
     k2 = rate(p + 0.5 * t * k1)
     k3 = rate(p + 0.5 * t * k2)
     k4 = rate(p + t * k3)
-    return inside(p + (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    step = (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    inside(p + step)
+    return step
 
 
 def flow_volume_oracle(E: Embedding, flow: FlowSpec, grid: GridSpec):
     """Central-difference dV/dtau from the volumes of the flowed S_{+tau}
     and S_{-tau}, whose frames are differentiated numerically (no analytic
-    jacobian, keeping the oracle independent of the identity path).  Phi and
-    the first RK4 stage at the nodes and stencil points serve both."""
+    jacobian, keeping the oracle independent of the identity path).  The
+    3-point stencil of u -> (Phi, step_+, step_-) gives the flowed points
+    Phi + step and frames dPhi + d step: dPhi's roundoff is common to both
+    surfaces and d step's scales with tau, so neither grows like 1/tau."""
     tau = flow.tau_step
     names = [f"{E.name}@tau={t:g}" for t in (tau, -tau)]
     points, weights = E.volume_nodes(grid, names[0])
 
-    def flowed(x):
-        # Phi at parameter points (M, d) flowed to +tau and -tau: (M, 2, D)
-        moved = flow_block(E.ambient, flow.field, E.point_block(x), (tau, -tau))
-        return np.swapaxes(moved.reshape(2, len(x), -1), 0, 1)
+    def moves(x):
+        # Phi at parameter points (M, d) and its steps to +tau and -tau: (M, 3, D)
+        p = E.point_block(x)
+        steps = flow_block(E.ambient, flow.field, p, (tau, -tau)).reshape(2, len(x), -1)
+        return np.stack((p, *steps), axis=1)
 
     def densities(us):
-        moved, frames = flowed(us), np.swapaxes(findiff.gradient(flowed, us), 1, 3)
-        return tuple(E.induced_from(us, moved[:, i], frames[:, :, i], names[i]).vol_density
-                     for i in (0, 1))
+        at, frames = moves(us), np.swapaxes(findiff.gradient3(moves, us), 1, 3)
+        return tuple(E.induced_from(us, at[:, 0] + at[:, i], frames[:, :, 0] + frames[:, :, i],
+                                    names[i - 1]).vol_density for i in (1, 2))
 
     v_plus, v_minus = (float(np.sum(weights * dens))
                        for dens in quadrature.map_blocks(densities, points))
@@ -200,10 +206,14 @@ class ConformalData:
 
 def _conformal(g, g_inv, dg, xi_val, xi_jac):
     """Psi = tr(Lie_xi g) / (2 D) at each node, and the largest component of
-    |Lie_xi g - 2 Psi g| there, from g, g^-1, dg and xi's values and jacobian."""
+    |Lie_xi g - 2 Psi g| there over the largest of |xi^r d_r g_mn| +
+    2 |g_rn d_m xi^r| (or 1 if that is 0), so that it is free of xi's scale."""
     lie = lie_derivative(g, dg, xi_val, xi_jac)
     psi = np.einsum("kmn,kmn->k", g_inv, lie) / (2.0 * g.shape[-1])
-    return psi, np.abs(lie - (2.0 * psi)[:, None, None] * g).max(axis=(1, 2))
+    scale = (np.abs(np.einsum("kr,krmn->kmn", xi_val, dg))
+             + 2.0 * np.abs(np.einsum("krn,krm->kmn", g, xi_jac))).max(axis=(1, 2))
+    off = np.abs(lie - (2.0 * psi)[:, None, None] * g).max(axis=(1, 2))
+    return psi, off / np.where(scale > 0.0, scale, 1.0)
 
 
 def conformal_check(metric: MetricField, xi: VectorField, sample_points):

@@ -25,7 +25,8 @@ def flowed_embedding(E, xi, tau):
 
     @blockwise
     def moved(us):
-        return flow_block(E.ambient, xi, E.point_block(us), tau)
+        p = E.point_block(us)
+        return p + flow_block(E.ambient, xi, p, tau)
 
     return replace(E, chart_map=moved, jacobian=None, hessian=None,
                    name=f"{E.name}@tau={tau:g}")

@@ -801,6 +801,14 @@ def test_verify_variation(tmp_path, capsys):
         assert case["relative_difference"] < 1e-4
 
 
+@pytest.mark.parametrize("seed", ["4", "41", "95"])
+def test_verify_variation_passes_at_the_default_tau(capsys, seed):
+    # at tau = 1e-4 these seeds' worst pairs are 2.9e-4 to 4.6e-4 from the
+    # identity: the O(tau**2) truncation of the oracle's central difference
+    code, out, _ = run(capsys, "verify", "variation", "--seed", seed)
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
 def test_verify_variation_rejects_a_bad_tau_before_the_run(monkeypatch, capsys, tau):
     def no_pair_runs(*args):

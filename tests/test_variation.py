@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trapsurf.cli import EQ3_EMBEDDINGS
+from trapsurf.cli import EQ3_EMBEDDINGS, VARIATION_EMBEDDINGS
 from trapsurf.errors import FlowLeftChart, NotClosed, NotConformal
 from trapsurf.expressions import blockwise
 from trapsurf.geometry import VectorField, vector_field_from_expressions
@@ -200,10 +200,10 @@ def test_flow_oracle_evaluates_the_field_on_blocks():
                                 grid)
     # dV/dtau = 2 V for the dilation, on the grid's own quadrature
     assert oracle == pytest.approx(2.0 * sphere.volume(grid), rel=1e-6)
-    # the 16 nodes, then their 2 * 4 * 16 = 128 stencil points: the first
-    # RK4 stage once for both flows, the other three on the stacked +tau
-    # and -tau points; 9 + 3 * 18 = 63 field rows per node
-    assert shapes == [(16, 4)] + [(32, 4)] * 3 + [(128, 4)] + [(256, 4)] * 3
+    # the 16 nodes, then their 2 * 2 * 16 = 64 stencil points of the 3-point
+    # stencil: the first RK4 stage once for both flows, the other three on
+    # the stacked +tau and -tau points; 7 + 4 * 7 = 35 field rows per node
+    assert shapes == [(16, 4)] + [(32, 4)] * 3 + [(64, 4)] + [(128, 4)] * 3
 
 
 @pytest.mark.parametrize("name", ["round_sphere", "ring_torus", "ef_sphere"])
@@ -215,7 +215,28 @@ def test_flow_oracle_equals_two_flowed_embeddings(name):
     grid, tau = GridSpec((12, 24)), 1e-4
     v_plus, v_minus = (flowed_embedding(emb, xi, t).volume(grid) for t in (tau, -tau))
     oracle = flow_volume_oracle(emb, FlowSpec(xi, tau), grid)
-    assert oracle == (v_plus - v_minus) / (2.0 * tau)
+    # the oracle differences Phi and the RK4 step on a 3-point stencil, the
+    # flowed Embedding its flowed position on the 5-point one: the frames
+    # differ by roundoff and truncation, which the 1/tau of the difference
+    # amplifies in the flowed Embeddings
+    assert oracle == pytest.approx((v_plus - v_minus) / (2.0 * tau), rel=1e-7)
+
+
+def test_flow_oracle_error_does_not_grow_as_tau_shrinks():
+    # the worst pair of `verify variation --seed 41`: differencing the RK4
+    # step leaves it about 1e-8 and 1e-7 from the identity at tau = 1e-6 and
+    # 1e-7; frames differenced from the flowed positions, whose roundoff the
+    # 1/tau amplifies, leave 3.3e-4 and 3.1e-3
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        emb = cat(VARIATION_EMBEDDINGS[rng.integers(len(VARIATION_EMBEDDINGS))])
+        xi = random_polynomial_field(rng, emb.ambient.dim)
+    assert emb.name == "ppwave_wavy_torus"
+    grid = GridSpec((16, 16))
+    direct = volume_variation(emb, xi, grid).total
+    for tau in (1e-6, 1e-7):
+        oracle = flow_volume_oracle(emb, FlowSpec(xi, tau), grid)
+        assert abs(direct - oracle) <= 1e-6 * abs(oracle)
 
 
 def test_flow_oracle_names_the_flowed_surface():
@@ -259,6 +280,21 @@ def test_conformal_check():
     shear = vector_field_from_expressions(MINK_COORDS, ["0", "x**2", "0", "0"])
     res = conformal_check(mink, shear, sample)
     assert not res.residual < CONFORMAL_TOL
+
+
+@pytest.mark.parametrize("scale", ["1e-9", "1e-6"])
+def test_conformal_residual_does_not_depend_on_the_scale_of_xi(scale):
+    # an absolute residual would pass 1e-9 * x**2 d_x as Killing (5.97e-9 on
+    # the sphere, under CONFORMAL_TOL) and fail 1e-6 * x**2 d_x (5.97e-6)
+    rng = np.random.default_rng(3)
+    sample = rng.normal(size=(8, 4))
+    shear = vector_field_from_expressions(MINK_COORDS, ["0", "x**2", "0", "0"])
+    scaled = vector_field_from_expressions(MINK_COORDS, ["0", f"{scale} * x**2", "0", "0"])
+    mink = cat("minkowski")
+    assert conformal_check(mink, scaled, sample).residual == pytest.approx(
+        conformal_check(mink, shear, sample).residual, rel=1e-12)
+    with pytest.raises(NotConformal, match="7.500e-01"):
+        killing_integral_check(cat("round_sphere"), scaled, GridSpec((16, 16)))
 
 
 def test_killing_integral_identity_expanding_universe():
