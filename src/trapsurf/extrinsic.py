@@ -80,9 +80,8 @@ def _check_normal(E, u, n):
     """The extrinsic data at u, and n checked normal to E there."""
     ext = extrinsic_data(E, u)
     n, e, absg = np.asarray(n, dtype=float), ext.base.frame, ext.base.absg
-    n_ref = np.sqrt(max(float(n @ absg @ n), 0.0))
-    e_ref = np.sqrt(np.maximum(np.einsum("ma,mn,na->a", e, absg, e), 0.0))
-    if np.any(np.abs(n @ ext.base.g @ e) > NORMAL_TOL * (1.0 + n_ref * e_ref)):
+    ref2 = (n @ absg @ n) * np.einsum("ma,mn,na->a", e, absg, e)   # |n|^2 |e_a|^2
+    if np.any((n @ ext.base.g @ e) ** 2 > NORMAL_TOL ** 2 * ref2):
         raise NotNormal(f"vector {n} is not normal to {E.name!r} at u={ext.base.u}")
     return ext, n
 
@@ -100,20 +99,24 @@ def expansion(E: Embedding, u, n):
 
 
 def normal_frame(E: Embedding, data, t_vec):
-    """The normal frame n (N, D, D - d) at induced block `data` and its norms
-    n2 = g(n_i, n_i) (N, D - d): g-orthogonal columns with |n2| = 1, timelike
-    ones first (ascending eigenvalues of the normal metric) and
-    future-pointing against `t_vec` (N, D)."""
-    g = data.g
-    _, _, vt = np.linalg.svd(np.swapaxes(data.frame, 1, 2) @ g)  # kernel = normal space
-    basis = np.swapaxes(vt[:, E.dim:, :], 1, 2)
-    _, v = np.linalg.eigh(np.swapaxes(basis, 1, 2) @ g @ basis)
-    n = basis @ v
-    n2 = np.einsum("kmi,kmn,kni->ki", n, g, n)
-    n = n / np.sqrt(np.abs(n2))[:, None]
-    n2 = np.einsum("kmi,kmn,kni->ki", n, g, n)
-    flip = (n2 < 0.0) & (np.einsum("kmi,kmn,kn->ki", n, g, t_vec) > 0.0)
-    return np.where(flip[:, None], -n, n), n2
+    """The g-orthonormal normal frame n (N, D, D - d) of a spacelike S at
+    induced block `data` and n2 = g(n_i, n_i) (N, D - d): first the unit normal
+    part of the future vector `t_vec` (N, D), then g-Gram-Schmidt of the
+    coordinate vectors' normal parts, the largest remaining g-norm first."""
+    g, k = data.g, np.arange(len(data.g))
+    vecs = t_vec[:, :, None]
+    if E.codim > 1:   # the coordinate vectors follow T
+        vecs = np.concatenate([vecs, np.broadcast_to(np.eye(E.ambient.dim), g.shape)], axis=2)
+    _, c = E.decompose(vecs, data)
+    n = c[:, :, :1]   # timelike, as S is spacelike, and future-pointing
+    n = n / np.sqrt(-(np.swapaxes(n, 1, 2) @ g @ n))
+    for _ in range(1, E.codim):   # project out the last column
+        gn = np.swapaxes(n[:, :, -1:], 1, 2) @ g
+        c = c - n[:, :, -1:] * (gn @ c) / (gn @ n[:, :, -1:])
+        c2 = np.einsum("kmi,kmn,kni->ki", c, g, c)
+        j = np.argmax(c2, axis=1)
+        n = np.dstack([n, c[k, :, j] / np.sqrt(c2[k, j])[:, None]])
+    return n, np.einsum("kmi,kmn,kni->ki", n, g, n)
 
 
 def _future(E: Embedding, data):
@@ -131,10 +134,9 @@ def _future(E: Embedding, data):
 
 def positive_definite(gamma):
     """Whether each induced metric of a block (N, d, d) is positive definite:
-    Sylvester's gamma_00 > 0 and det > 0 for d <= 2, else the least eigenvalue."""
-    if gamma.shape[-1] <= 2:
-        return (gamma[:, 0, 0] > 0.0) & (sym_det(gamma) > 0.0)
-    return np.linalg.eigvalsh(gamma)[:, 0] > 0.0
+    Sylvester's test, every leading principal minor positive."""
+    return np.all([sym_det(gamma[:, :j, :j]) > 0.0
+                   for j in range(1, gamma.shape[-1] + 1)], axis=0)
 
 
 def _require_spacelike(E: Embedding, data):
@@ -148,17 +150,15 @@ def null_normal_pair(E: Embedding, u, outward):
 
     Only defined in codimension 2 with a spacelike S.  `outward` is a
     reference ambient vector; l_plus is the member with the larger
-    g(., outward) ("outgoing").  The residual boost freedom is fixed by
-    giving l+ and l- equal reference norms.
+    g(., outward) ("outgoing").  The boost: g(l+-, T) = g(n_0, T)/sqrt(2) for
+    the future vector T, as g(n_1, T) = g(n_1, PT) = 0 with n_0 ~ PT = T^perp.
     """
     if E.codim != 2:
         raise ValueError("null normal pair requires codimension 2")
     data = E.induced_block(as_point(u)[None])
     t_vec = _future(E, data)
     _require_spacelike(E, data)
-    n, n2 = normal_frame(E, data, t_vec)
-    if not (n2[0, 0] < 0.0 < n2[0, 1]):
-        raise NotSpacelike("normal metric is not Lorentzian")
+    n, _ = normal_frame(E, data, t_vec)
     l_a, l_b = (n[0] @ [[1.0, 1.0], [1.0, -1.0]]).T / np.sqrt(2.0)
     g, out = data.g[0], np.asarray(outward, dtype=float)
     return (l_a, l_b) if l_a @ g @ out >= l_b @ g @ out else (l_b, l_a)

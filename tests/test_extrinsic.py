@@ -117,6 +117,18 @@ def test_non_normal_vector_rejected(rng):
         second_fundamental_form(sphere, u, tangent)
 
 
+@pytest.mark.parametrize("radius", [2.0, 1e-9, 1e9])
+def test_the_normal_check_is_scale_free(radius):
+    # |g(n, e_a)| is weighed against |n| |e_a| alone: a unit tangent vector of
+    # a tiny sphere is rejected, and a null normal is accepted at every size
+    sphere, u = cat("round_sphere", radius=radius), np.array([1.2, 0.7])
+    tangent = sphere.induced_block([u]).node(0).frame[:, 1]
+    with pytest.raises(NotNormal):
+        expansion(sphere, u, tangent / np.linalg.norm(tangent))
+    lp, lm = null_normal_pair(sphere, u, [0.0, 1.0, 0.0, 0.0])
+    assert expansion(sphere, u, lp) > 0.0 > expansion(sphere, u, lm)
+
+
 def test_mean_curvature_closed_forms(rng):
     for radius in (1.0, 2.0, 3.0):
         sphere = cat("round_sphere", radius=radius)
@@ -145,9 +157,13 @@ def test_ef_sphere_mean_curvature_closed_form(rng):
 
 
 def test_normal_frame_spans_orthocomplement(rng):
-    for name in ("ef_sphere", "t_const_hypersurface_rw", "accelerated_curve",
-                 "round_sphere"):
-        emb = cat(name)
+    # a spacelike circle in the t = 0 slice of Minkowski: codimension 3, so
+    # the Gram-Schmidt runs past two columns
+    circle = embedding_from_expressions(
+        cat("minkowski"), ("ph",), ["0", "3*cos(ph)", "3*sin(ph)", "0"],
+        param_domain=[(0.0, 2.0 * math.pi)], periodic=(True,))
+    for emb in (cat("ef_sphere"), cat("t_const_hypersurface_rw"), circle,
+                cat("round_sphere")):
         data = emb.induced_block([emb.random_parameter_point(rng) for _ in range(5)])
         t_vec = emb.ambient.future_block(data.p)
         n, n2 = normal_frame(emb, data, t_vec)
@@ -208,6 +224,8 @@ def test_null_expansions_give_the_mean_curvature_norm(rng):
             assert abs(lp @ g @ lp) < 1e-12 and abs(lm @ g @ lm) < 1e-12
             assert lp @ g @ lm == pytest.approx(-1.0, abs=1e-12)
             assert lp @ g @ t_vec < 0.0 and lm @ g @ t_vec < 0.0
+            # the boost: g(l+, T) = g(l-, T) = g(n_0, T)/sqrt(2)
+            assert abs((lp - lm) @ g @ t_vec) <= 1e-12 * abs(lp @ g @ t_vec), emb.name
             h2 = extrinsic_data(emb, u).h_norm2
             theta = expansion(emb, u, lp) * expansion(emb, u, lm)
             assert abs(h2 + 2.0 * theta) <= 1e-12 * max(1.0, abs(h2)), emb.name

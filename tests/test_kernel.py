@@ -159,16 +159,20 @@ def test_the_kernel_factorizes_each_node_once(monkeypatch):
                 calls.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
-    grid = GridSpec((16, 32))
-    classify_submanifold(cat("ef_sphere", radius=2.0), grid)
+    classify_submanifold(cat("ef_sphere", radius=2.0), GridSpec((16, 32)))
+    sphere_calls = calls[:]
+    calls.clear()
+    # codimension 1: the normal frame is the projected future vector
+    classify_submanifold(cat("t_const_hypersurface_rw", scale="t2"), GridSpec((8, 8, 8)))
     monkeypatch.undo()
-    blocks = [(256, 4, 4)] * (16 * 32 // 256)
-    assert len(blocks) == 2
-    assert [shape for name, shape in calls if name == "eigh"] == blocks
-    assert not [call for call in calls if call[0] in ("eigvalsh", "svd", "matrix_rank")]
-    assert ("inv", (256, 4, 4)) not in calls
-    assert not [call for call in calls if call[1][1:] == (2, 2)]   # gamma is 2 x 2
-    assert [shape for name, shape in calls if name == "det"] == blocks  # metric_block
+    blocks = [(256, 4, 4)] * 2
+    for recorded in (sphere_calls, calls):
+        assert [shape for name, shape in recorded if name == "eigh"] == blocks
+        assert not [call for call in recorded
+                    if call[0] in ("eigvalsh", "svd", "matrix_rank")]
+    assert ("inv", (256, 4, 4)) not in sphere_calls
+    assert not [call for call in sphere_calls if call[1][1:] == (2, 2)]   # gamma is 2 x 2
+    assert [shape for name, shape in sphere_calls if name == "det"] == blocks  # metric_block
 
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
