@@ -33,9 +33,11 @@ EXIT_MIXED_BOUNDARY = 2
 EXIT_CONFIG = 64
 EXIT_UNKNOWN_ENTRY = 65
 
-# The output formats each command writes; a config output in any other
-# format is a configuration error, raised before the run.
+# The output formats each command writes, and the config keys it reads no
+# value from; a config output in any other format, or a value under one of
+# those keys, is a configuration error, raised before the run.
 COMMAND_FORMATS = {"classify": ("json", "csv", "text"), "verify": ("json", "text")}
+COMMAND_UNREAD = {"classify": ("fields",), "verify": ("tolerances",)}
 
 EQ3_EMBEDDINGS = (
     "round_sphere", "ring_torus", "flat_torus", "accelerated_curve",
@@ -105,15 +107,13 @@ def config_from_args(args):
         return None
     if not args.embedding:
         raise ConfigError("provide --config or --embedding")
-    data = {"schema_version": 1, "embedding": parse_catalog_ref(args.embedding)}
-    if args.metric:
-        data["metric"] = parse_catalog_ref(args.metric)
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict({"schema_version": 1,
+                                "embedding": parse_catalog_ref(args.embedding)})
 
 
 def grid_for(args, dim, default):
     """The --grid option, else `default`, for an embedding of dimension `dim`."""
-    grid = grid_spec(args.grid.split(","), default.rule) if args.grid else default
+    grid = grid_spec(args.grid.split(",")) if args.grid else default
     if len(grid.points_per_axis) != dim:
         raise ConfigError(f"grid has {len(grid.points_per_axis)} axes but the "
                           f"embedding has {dim} parameters")
@@ -131,7 +131,7 @@ def cmd_classify(args, config):
     text = (
         f"embedding: {embedding.name}\n"
         f"metric:    {embedding.ambient.name}\n"
-        f"grid:      {'x'.join(map(str, grid.points_per_axis))} ({grid.rule})\n"
+        f"grid:      {'x'.join(map(str, grid.points_per_axis))}\n"
         f"verdict:   {report.verdict}\n"
         f"min margin: {report.min_margin:.9g}\n"
         f"boundary points: {report.boundary_count}\n"
@@ -321,7 +321,6 @@ def build_parser():
 
     p_cls = sub.add_parser("classify", help="classify H over a submanifold")
     common(p_cls)
-    p_cls.add_argument("--metric", help="catalog ref name:key=value,...")
     p_cls.add_argument("--embedding", help="catalog ref name:key=value,...")
     p_cls.add_argument("--tol", action="append",
                        help="tolerance override NAME=VALUE (repeatable)")
@@ -370,6 +369,9 @@ def main(argv=None):
             for fmt, _ in outputs:
                 if fmt not in COMMAND_FORMATS[args.command]:
                     raise ConfigError(f"{args.command} produces no {fmt.upper()} output")
+            for key in COMMAND_UNREAD[args.command] if config else ():
+                if getattr(config, key):
+                    raise ConfigError(f"{args.command} reads no {key!r} from a config")
             formats = {}
             for fmt, path in outputs + paths:
                 # a device or pipe (/dev/null, /dev/stdout) may take any output

@@ -1,5 +1,7 @@
-"""Run configuration: a schema-versioned JSON document selecting a metric,
-an embedding, vector fields, a grid, tolerance overrides and outputs.
+"""Run configuration: a schema-versioned JSON document selecting an
+embedding, vector fields, a grid, tolerance overrides and outputs.  A
+metric is given only with an inline embedding; a catalog embedding brings
+its own.
 
 Objects are either catalog references ({"catalog": name, "params": {...}})
 or inline definitions written in the expression grammar.  Unknown keys are
@@ -29,7 +31,7 @@ _FIELD_INLINE_KEYS = {"coordinates", "components", "constants", "name"}
 _METRIC_REQUIRED = ("coordinates", "components")
 _EMBEDDING_REQUIRED = ("parameters", "map", "domain")
 _FIELD_REQUIRED = ("components",)
-_GRID_KEYS = {"points_per_axis", "rule"}
+_GRID_KEYS = {"points_per_axis"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOLERANCE_NAMES = {"null_band"}
 
@@ -49,12 +51,12 @@ def _check_keys(obj, allowed, where, required=()):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
-def grid_spec(points, rule="auto"):
+def grid_spec(points):
     """A GridSpec from configuration or command-line values."""
     try:
-        return GridSpec(tuple(points), rule)
+        return GridSpec(tuple(points))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid {points!r} ({rule!r}): {exc}") from None
+        raise ConfigError(f"invalid grid {points!r}: {exc}") from None
 
 
 def check_tolerances(tols):
@@ -128,12 +130,15 @@ class RunConfig:
             raise ConfigError("config requires an 'embedding' entry")
         embedding = ObjectRef.parse(data["embedding"], "embedding",
                                     _EMBEDDING_INLINE_KEYS, _EMBEDDING_REQUIRED)
+        if ("metric" in data) != (embedding.inline is not None):
+            raise ConfigError("an inline embedding requires a 'metric' entry"
+                              if embedding.inline is not None else
+                              "a catalog embedding brings its own metric; give "
+                              "'metric' only with an inline embedding")
         metric = None
         if "metric" in data:
             metric = ObjectRef.parse(data["metric"], "metric",
                                      _METRIC_INLINE_KEYS, _METRIC_REQUIRED)
-        if embedding.inline is not None and metric is None:
-            raise ConfigError("an inline embedding requires a 'metric' entry")
         fields = tuple(
             ObjectRef.parse(f, f"fields[{i}]", _FIELD_INLINE_KEYS, _FIELD_REQUIRED)
             for i, f in enumerate(data.get("fields", []))
@@ -144,8 +149,7 @@ class RunConfig:
             _check_keys(grid_data, _GRID_KEYS, "grid")
             if "points_per_axis" not in grid_data:
                 raise ConfigError("grid requires points_per_axis")
-            grid = grid_spec(grid_data["points_per_axis"],
-                             grid_data.get("rule", "auto"))
+            grid = grid_spec(grid_data["points_per_axis"])
         tols = _require_mapping(data.get("tolerances", {}), "tolerances")
         outputs = []
         for i, out in enumerate(data.get("outputs", [])):
@@ -210,34 +214,10 @@ def build_metric(ref: ObjectRef):
     )
 
 
-def _check_own_metric(given: ObjectRef, ref: ObjectRef, ambient):
-    """A metric given with the catalog embedding `ref` must be its own
-    `ambient`: the same catalog entry at equal parameter values."""
-    entry = catalog.get_entry(ref.catalog)
-    own, own_values = entry.ambient_of(entry.resolve_params(ref.params))
-    if given.inline is not None:
-        raise ConfigError(
-            f"an inline metric cannot replace the ambient metric {ambient.name!r} of "
-            f"catalog embedding {ref.catalog!r}; a catalog embedding brings its own metric"
-        )
-    if given.catalog == own.name and own.resolve_params(given.params) == own_values:
-        return
-    metric = build_metric(given)  # a bad reference raises its own error first
-    given_values = catalog.get_entry(given.catalog).resolve_params(given.params)
-    raise ConfigError(
-        f"metric {metric.name!r} {given_values} is not the ambient metric "
-        f"{ambient.name!r} {own_values} of catalog embedding {ref.catalog!r}; "
-        "a catalog embedding brings its own metric"
-    )
-
-
 def build_embedding(config: RunConfig):
     ref = config.embedding
     if ref.catalog is not None:
-        embedding = _from_catalog(ref, "embedding")
-        if config.metric is not None:
-            _check_own_metric(config.metric, ref, embedding.ambient)
-        return embedding
+        return _from_catalog(ref, "embedding")
     inline = ref.inline
     ambient = build_metric(config.metric)
     return _inline(

@@ -81,6 +81,7 @@ class InducedPointData(NodeBundle):
     frame: np.ndarray       # e[mu, a] = d Phi^mu / d u^a
     gamma: np.ndarray       # gamma_{ab} = g(e_a, e_b)
     gamma_inv: np.ndarray
+    gamma_det: np.ndarray   # det gamma, signed
     vol_density: float      # sqrt|det gamma|
 
 
@@ -193,6 +194,7 @@ class Embedding:
             frame=e,
             gamma=gamma,
             gamma_inv=sym_inv(gamma, det),
+            gamma_det=det,
             vol_density=np.sqrt(np.abs(det)),
         )
 

@@ -132,15 +132,16 @@ def _future(E: Embedding, data):
     return t_vec
 
 
-def positive_definite(gamma):
-    """Whether each induced metric of a block (N, d, d) is positive definite:
-    Sylvester's test, every leading principal minor positive."""
+def positive_definite(gamma, det):
+    """Whether each induced metric of a block (N, d, d) with determinants
+    `det` is positive definite: Sylvester's test, every leading principal
+    minor positive, the last of them `det`."""
     return np.all([sym_det(gamma[:, :j, :j]) > 0.0
-                   for j in range(1, gamma.shape[-1] + 1)], axis=0)
+                   for j in range(1, gamma.shape[-1])] + [det > 0.0], axis=0)
 
 
 def _require_spacelike(E: Embedding, data):
-    raise_first(~positive_definite(data.gamma), NotSpacelike,
+    raise_first(~positive_definite(data.gamma, data.gamma_det), NotSpacelike,
                 lambda i: f"{E.name!r} not spacelike at u={data.u[i]}")
 
 
@@ -263,10 +264,7 @@ class ClassificationReport:
             "embedding": self.embedding_name,
             "verdict": self.verdict,
             "tolerances": {"null_band": float(self.tolerance)},
-            "grid": {
-                "points_per_axis": list(self.grid.points_per_axis),
-                "rule": self.grid.rule,
-            },
+            "grid": {"points_per_axis": list(self.grid.points_per_axis)},
             "boundary_count": self.boundary_count,
             "min_margin": float(self.min_margin),
             "notes": list(self.notes),

@@ -1,9 +1,10 @@
 """Quadrature over axis-aligned parameter boxes.
 
-Non-periodic axes default to Gauss-Legendre nodes (which never touch the
-interval endpoints, so coordinate poles are avoided); periodic axes use the
-endpoint-free uniform (trapezoid) rule, which is spectrally accurate for
-smooth periodic integrands.
+The rule on each axis follows from whether the axis is periodic.  A
+periodic axis takes the endpoint-free uniform (trapezoid) rule, which is
+spectrally accurate for smooth periodic integrands; any other axis takes
+Gauss-Legendre nodes, which never touch the interval endpoints, so
+coordinate poles are avoided.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from functools import reduce
 
 import numpy as np
 
-RULES = ("auto", "gauss", "trapezoid")
 # Most points evaluated in one array call of the grid kernel: it bounds the
 # kernel's temporaries, so peak memory does not grow with the grid.
 BLOCK_NODES = 256
@@ -30,35 +30,23 @@ def _count(n):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling/quadrature control: nodes per axis and rule identifier."""
+    """Sampling/quadrature control: nodes per axis."""
 
     points_per_axis: tuple
-    rule: str = "auto"
 
     def __post_init__(self):
         pts = tuple(_count(n) for n in self.points_per_axis)
         object.__setattr__(self, "points_per_axis", pts)
         if any(n < 2 for n in pts):
             raise ValueError("need at least 2 points per axis")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-def axis_rule(lo, hi, n, rule, periodic):
-    """Nodes and weights on one axis; returns (x, w) arrays of length n."""
+def axis_rule(lo, hi, n, periodic):
+    """Nodes and weights on one axis, (x, w) arrays of length n: the
+    endpoint-free uniform rule if the axis is periodic, else Gauss-Legendre."""
     lo, hi = float(lo), float(hi)
-    if rule == "auto":
-        rule = "trapezoid" if periodic else "gauss"
-    if rule == "trapezoid":
-        if periodic:
-            x = lo + (hi - lo) * np.arange(n) / n
-            w = np.full(n, (hi - lo) / n)
-        else:
-            x = np.linspace(lo, hi, n)
-            w = np.full(n, (hi - lo) / (n - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return x, w
+    if periodic:
+        return lo + (hi - lo) * np.arange(n) / n, np.full(n, (hi - lo) / n)
     nodes, weights = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
@@ -70,7 +58,7 @@ def grid_nodes(domain, periodic, spec: GridSpec):
     first axis slowest, and combined weights (N,)."""
     if len(spec.points_per_axis) != len(domain):
         raise ValueError("points_per_axis length must match parameter dimension")
-    rules = [axis_rule(lo, hi, n, spec.rule, per) for (lo, hi), n, per
+    rules = [axis_rule(lo, hi, n, per) for (lo, hi), n, per
              in zip(domain, spec.points_per_axis, periodic)]
     axes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
     points = np.stack(axes, axis=-1).reshape(-1, len(rules))

@@ -30,7 +30,7 @@ def test_classify_trapped_sphere(tmp_path, capsys):
     assert report["schema"] == "report_v1"
     assert report["kind"] == "classification"
     assert report["verdict"] == "FutureTrapped"
-    assert report["grid"] == {"points_per_axis": [8, 16], "rule": "auto"}
+    assert report["grid"] == {"points_per_axis": [8, 16]}
     assert "seed" not in report
     assert len(report["points"]) == 128
     lines = out_csv.read_text().strip().splitlines()
@@ -103,7 +103,6 @@ def test_classify_errors(tmp_path, capsys):
     ("--embedding", "round_sphere:radius="),
     ("--embedding", "round_sphere:radius=nan"),
     ("--embedding", "round_sphere:radius=inf"),
-    ("--embedding", "round_sphere", "--metric", "minkowski:dimension=nan"),
 ])
 def test_catalog_parameter_text_must_be_a_finite_number(capsys, refs):
     code, out, err = run(capsys, "classify", *refs, "--grid", "4,4")
@@ -653,42 +652,77 @@ def test_non_finite_geometry_is_a_numerical_failure(tmp_path, capsys, mutate, er
     assert "NaN" not in out + err
 
 
-def test_classify_metric_must_be_the_embeddings_own(tmp_path, capsys):
-    # r = 3 lies inside the horizon of M = 2, but ef_sphere carries M = 1
-    code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
-                       "--metric", "schwarzschild_ef:mass=2", "--grid", "4,4")
-    assert code == 64
+@pytest.mark.parametrize("metric", [
+    {"catalog": "schwarzschild_ef", "params": {"mass": 1}},   # its own ambient
+    {"catalog": "schwarzschild_ef", "params": {"mass": 2}},
+    _inline_sphere_config()["metric"],
+])
+def test_a_catalog_embedding_brings_its_own_metric(tmp_path, capsys, metric):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"schema_version": 1, "metric": metric,
+                                "embedding": {"catalog": "ef_sphere",
+                                              "params": {"radius": 3}}}))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 64 and out == ""
     report = json.loads(err)
     assert report["error"]["type"] == "ConfigError"
-    assert "schwarzschild_ef[M=2]" in report["error"]["message"]
-    code, _, err = run(capsys, "classify", "--embedding", "round_sphere",
-                       "--metric", "minkowski:dimension=3", "--grid", "4,4")
-    assert code == 64
-    # a mass that differs in the seventh digit has the same 6-digit name
-    code, _, err = run(capsys, "classify", "--embedding", "ef_sphere:radius=1.5,mass=1",
-                       "--metric", "schwarzschild_ef:mass=1.0000001", "--grid", "4,4")
-    assert code == 64
-    assert "1.0000001" in json.loads(err)["error"]["message"]
-    # an inline metric never replaces the catalog's, whatever its name
+    assert "brings its own metric" in report["error"]["message"]
+
+
+def test_classify_has_no_metric_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--embedding", "ef_sphere:radius=3",
+                  "--metric", "schwarzschild_ef:mass=1", "--grid", "4,4"])
+    assert exc.value.code == 2
+    assert "--metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, chart_map, verdict", [
+    (None, None, "AbsolutelyNonTrapped"),   # the inline flat metric
+    # the sphere r = R = 2 lies inside the horizon r = 2M = 4
+    ({"catalog": "schwarzschild_ef", "params": {"mass": 2}}, ["0", "R", "u1", "u2"],
+     "FutureTrapped"),
+])
+def test_an_inline_embedding_classifies_in_its_given_metric(tmp_path, capsys, metric,
+                                                           chart_map, verdict):
+    cfg = _inline_sphere_config()
+    cfg["metric"] = metric or cfg["metric"]
+    cfg["embedding"]["inline"]["map"] = chart_map or cfg["embedding"]["inline"]["map"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 0
+    assert f"verdict:   {verdict}" in out
+
+
+def test_classify_rejects_config_fields(tmp_path, capsys):
+    # classify builds no field, so even a malformed one would pass unread
+    cfg = {**_inline_sphere_config(),
+           "fields": [{"inline": {"components": ["1", "0", "0"]}}]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert code == 64 and out == ""
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert "'fields'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("check", ["killing", "variation"])
+def test_verify_rejects_config_tolerances(tmp_path, capsys, check):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "schema_version": 1,
-        "metric": {"inline": {
-            "coordinates": ["t", "x", "y", "z"],
-            "components": [["-4", "0", "0", "0"], ["0", "9", "0", "0"],
-                           ["0", "0", "9", "0"], ["0", "0", "0", "9"]],
-            "time_orientation": ["1", "0", "0", "0"],
-            "name": "minkowski",
-        }},
         "embedding": {"catalog": "round_sphere"},
+        "fields": [{"catalog": "dilation"}],
+        "grid": {"points_per_axis": [4, 6]},
+        "tolerances": {"null_band": 1e-8},
     }))
-    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    code, out, err = run(capsys, "verify", check, "--config", str(path))
     assert code == 64 and out == ""
-    assert "inline metric" in json.loads(err)["error"]["message"]
-    code, out, _ = run(capsys, "classify", "--embedding", "ef_sphere:radius=3",
-                       "--metric", "schwarzschild_ef:mass=1", "--grid", "4,4")
-    assert code == 0
-    assert "verdict:   AbsolutelyNonTrapped" in out
+    report = json.loads(err)
+    assert report["error"]["type"] == "ConfigError"
+    assert "'tolerances'" in report["error"]["message"]
 
 
 def test_config_grid_with_wrong_axis_count_is_config_error(tmp_path, capsys):
@@ -710,7 +744,7 @@ def test_config_grid_with_wrong_axis_count_is_config_error(tmp_path, capsys):
     }))
     code, out, _ = run(capsys, "classify", "--config", str(path))
     assert code == 0
-    assert "grid:      16x16x16 (auto)" in out
+    assert "grid:      16x16x16" in out
 
 
 def test_catalog_commands(capsys):
@@ -825,7 +859,6 @@ def test_verify_variation_rejects_a_bad_tau_before_the_run(monkeypatch, capsys, 
 def test_verify_variation_flow_leaves_chart(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
-        "metric": {"catalog": "schwarzschild_ef"},
         "embedding": {"catalog": "ef_sphere", "params": {"radius": 1.0}},
         "fields": [{
             "inline": {"coordinates": ["v", "r", "th", "ph"],

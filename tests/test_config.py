@@ -15,10 +15,9 @@ from trapsurf.quadrature import GridSpec
 
 FULL_CONFIG = {
     "schema_version": 1,
-    "metric": {"catalog": "schwarzschild_ef", "params": {"mass": 1.0}},
     "embedding": {"catalog": "ef_sphere", "params": {"radius": 1.5}},
     "fields": [{"catalog": "time_translation"}],
-    "grid": {"points_per_axis": [8, 16], "rule": "auto"},
+    "grid": {"points_per_axis": [8, 16]},
     "tolerances": {"null_band": 1e-8},
     "outputs": [{"format": "json", "path": "out.json"}],
 }
@@ -58,7 +57,7 @@ def test_round_trip(tmp_path):
     path.write_text(json.dumps(FULL_CONFIG))
     cfg = RunConfig.from_dict(FULL_CONFIG)
     assert load_config(path) == cfg
-    assert cfg.grid == GridSpec((8, 16), "auto")
+    assert cfg.grid == GridSpec((8, 16))
     assert cfg.tolerances == {"null_band": 1e-8}
 
 
@@ -100,6 +99,16 @@ def test_inline_embedding_requires_metric():
         RunConfig.from_dict(solo)
 
 
+def test_catalog_embedding_takes_no_metric():
+    # the embedding's own ambient, another catalog metric or an inline one
+    for metric in ({"catalog": "schwarzschild_ef", "params": {"mass": 1.0}},
+                   {"catalog": "schwarzschild_ef", "params": {"mass": 2.0}},
+                   INLINE_CONFIG["metric"]):
+        bad = {**FULL_CONFIG, "metric": metric}
+        with pytest.raises(ConfigError, match="brings its own metric"):
+            RunConfig.from_dict(bad)
+
+
 def test_tolerance_validation():
     bad = json.loads(json.dumps(FULL_CONFIG))
     bad["tolerances"] = {"nul_band": 1e-8}
@@ -123,14 +132,16 @@ def test_grid_validation():
     bad["grid"] = {"points_per_axis": [1, 4]}
     with pytest.raises(ConfigError, match="grid"):
         RunConfig.from_dict(bad)
-    bad["grid"] = {"points_per_axis": [8, 8], "rule": "simpson"}
-    with pytest.raises(ConfigError, match="grid"):
-        RunConfig.from_dict(bad)
+    # the rule follows from each axis being periodic or not
+    for rule in ("auto", "gauss", "trapezoid"):
+        bad["grid"] = {"points_per_axis": [8, 8], "rule": rule}
+        with pytest.raises(ConfigError, match="'rule'"):
+            RunConfig.from_dict(bad)
     for points in ([4.9, "6"], ["8", "4.5"], [8, None]):
         bad["grid"] = {"points_per_axis": points}
         with pytest.raises(ConfigError, match="integers"):
             RunConfig.from_dict(bad)
-    bad["grid"] = {"rule": "gauss"}
+    bad["grid"] = {}
     with pytest.raises(ConfigError, match="points_per_axis"):
         RunConfig.from_dict(bad)
     good = json.loads(json.dumps(FULL_CONFIG))
@@ -145,7 +156,7 @@ def test_catalog_kind_is_checked():
     wrong["embedding"] = {"catalog": "minkowski"}
     with pytest.raises(ConfigError, match="minkowski"):
         build_embedding(RunConfig.from_dict(wrong))
-    wrong = json.loads(json.dumps(FULL_CONFIG))
+    wrong = json.loads(json.dumps(INLINE_CONFIG))
     wrong["metric"] = {"catalog": "round_sphere"}
     with pytest.raises(ConfigError, match="round_sphere"):
         build_metric(RunConfig.from_dict(wrong).metric)
@@ -153,7 +164,7 @@ def test_catalog_kind_is_checked():
     wrong["fields"] = [{"catalog": "schwarzschild_ef"}]
     cfg = RunConfig.from_dict(wrong)
     with pytest.raises(ConfigError, match="schwarzschild_ef"):
-        build_fields(cfg, build_metric(cfg.metric))
+        build_fields(cfg, build_embedding(cfg).ambient)
 
 
 def test_output_validation():
@@ -178,10 +189,8 @@ def test_load_config_errors(tmp_path):
 
 def test_build_catalog_pipeline():
     cfg = RunConfig.from_dict(FULL_CONFIG)
-    metric = build_metric(cfg.metric)
-    assert metric.dim == 4
     emb = build_embedding(cfg)
-    assert emb.dim == 2 and emb.closed
+    assert emb.dim == 2 and emb.closed and emb.ambient.dim == 4
     fields = build_fields(cfg, emb.ambient)
     assert len(fields) == 1 and fields[0].name == "time_translation"
 

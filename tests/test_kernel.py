@@ -173,6 +173,9 @@ def test_the_kernel_factorizes_each_node_once(monkeypatch):
     assert ("inv", (256, 4, 4)) not in sphere_calls
     assert not [call for call in sphere_calls if call[1][1:] == (2, 2)]   # gamma is 2 x 2
     assert [shape for name, shape in sphere_calls if name == "det"] == blocks  # metric_block
+    # det gamma once per block, read again by the spacelike check
+    assert [shape for name, shape in calls if name == "det" and shape[1:] == (3, 3)] \
+        == [(256, 3, 3)] * 2
 
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
@@ -196,7 +199,7 @@ def test_bundle_algebra_matches_numpy(name, fractions):
         volume = math.sqrt(abs(np.linalg.det(gamma)))
         assert abs(data.vol_density[k] - volume) <= bound * volume
     spacelike = np.linalg.eigvalsh(data.gamma)[:, 0] > 0.0
-    assert np.array_equal(positive_definite(data.gamma), spacelike)
+    assert np.array_equal(positive_definite(data.gamma, data.gamma_det), spacelike)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -208,5 +211,6 @@ def test_sylvester_agrees_with_the_least_eigenvalue(d, sizes, negative, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     gamma = (q * w) @ q.T
     gamma = 0.5 * (gamma + gamma.T)[None]
-    assert positive_definite(gamma)[0] == (np.linalg.eigvalsh(gamma)[0, 0] > 0.0)
-    assert positive_definite(gamma)[0] == (w > 0.0).all()
+    pd = positive_definite(gamma, np.linalg.det(gamma))[0]
+    assert pd == (np.linalg.eigvalsh(gamma)[0, 0] > 0.0)
+    assert pd == (w > 0.0).all()
