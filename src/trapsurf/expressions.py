@@ -12,12 +12,16 @@ raises InvalidExpression.
 The unit of compilation is a template: the texts, the symbol names and the
 names of the constants.  A template's trees are differentiated here, by the
 rules of calculus with 0 and 1 folded away, and each derivative order is
-compiled once per process into one numpy function of the coordinates and
-the constants, so objects that differ only in their constants' values share
-one compiled template.  The generated source holds only the renamed
-arguments `_x{k}` (coordinates) and `_c{k}` (constants), the repr of finite
-numeric literals, the five operators and the grammar's functions, bound from
-numpy; no text of the caller reaches it.
+compiled once per process into two numpy functions: one of the constants
+for the coordinate-free entries, evaluated once when an object binds its
+values, and one of the coordinates and the constants for the rest.  So
+objects that differ only in their constants' values share one compiled
+template.  A bound callable takes a real or a complex block and returns an
+array of the block's dtype; `findiff` differentiates it by complex steps.
+The generated source holds only the renamed arguments `_x{k}` (coordinates)
+and `_c{k}` (constants), the repr of finite numeric literals, the five
+operators and the grammar's functions, bound from numpy; no text of the
+caller reaches it.
 """
 
 import ast
@@ -247,26 +251,64 @@ def _shape(nested):
     return (len(nested),) + (shapes.pop() if shapes else ())
 
 
-def _bind(fn, shape, values):
-    """A blockwise x -> ndarray: a block (N, n) gives (N, *shape) from one
-    call of `fn`, which takes the coordinates followed by the constants'
-    `values` and returns the flat list of entries.  Constant entries, which
-    numpy evaluates to scalars, are broadcast.  Failing constant-only
-    arithmetic (1/0, an int beyond the float range) raises InvalidExpression."""
-    size = math.prod(shape)
+def _uses_coordinates(node):
+    """Whether a tree reads a coordinate argument `_x{k}`."""
+    if node[0] == "var":
+        return node[1].startswith("_x")
+    return node[0] != "num" and any(_uses_coordinates(a) for a in node[1:])
+
+
+def _array(shape, trees, arguments, dim):
+    """An expression array compiled for `_bind`: (shape, the flat indices of
+    the coordinate-free entries, a function of the constants that returns
+    them, the indices of the other entries, a function of the coordinates
+    and the constants that returns those)."""
+    moving = [_uses_coordinates(t) for t in trees]
+    fixed = [t for t, m in zip(trees, moving) if not m]
+    varying = [t for t, m in zip(trees, moving) if m]
+    return (shape, np.flatnonzero(np.logical_not(moving)), _function(arguments[dim:], fixed),
+            np.flatnonzero(moving), _function(arguments, varying))
+
+
+def _entries(fn, args, complex_block):
+    """fn(*args) as one array.  Failing constant-only arithmetic (1/0, an
+    int beyond the float range) raises InvalidExpression, and so does a
+    complex value from a real block, which only Python's power of a
+    negative constant can give."""
+    try:
+        entries = np.array(fn(*args))
+    except ArithmeticError as exc:
+        raise InvalidExpression(f"constant arithmetic fails: {exc}") from None
+    if entries.dtype.kind == "c" and not complex_block:
+        raise InvalidExpression("constant arithmetic gives a complex value")
+    return entries
+
+
+def _bind(array, values):
+    """A blockwise x -> ndarray of an `_array` at the constants' `values`: a
+    block (N, n) gives (N, *shape), complex for a complex block.  The
+    coordinate-free entries are evaluated here, once; the others come from
+    one call per block, written in one stacked assignment.
+
+    The result is marked `compiled`: every entry is a composition of the
+    grammar's analytic functions, so a complex step differentiates it."""
+    shape, fixed, fixed_fn, moving, moving_fn = array
+    row = np.empty(math.prod(shape))
+    row[fixed] = _entries(fixed_fn, values, False)
 
     def wrapped(x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        complex_block = x.dtype.kind == "c"
+        x = x.astype(complex if complex_block else float, copy=False)
         if x.ndim != 2:
             raise ValueError(f"expected a block of points (N, n), got shape {x.shape}")
-        out = np.empty((len(x), size))
-        try:
-            for k, value in enumerate(fn(*x.T, *values)):
-                out[:, k] = value
-        except ArithmeticError as exc:
-            raise InvalidExpression(f"constant arithmetic fails: {exc}") from None
+        out = np.empty((len(x), len(row)), dtype=x.dtype)
+        out[:] = row
+        if len(moving):
+            out[:, moving] = _entries(moving_fn, (*x.T, *values), complex_block).T
         return out.reshape((len(x),) + shape)
 
+    wrapped.compiled = True
     return blockwise(wrapped)
 
 
@@ -283,10 +325,10 @@ def _flatten(nested):
 class Template:
     """Expression arrays compiled once for every value of their constants.
 
-    `arrays` holds the (shape, fn) of the expressions and of each derivative
-    order; fn takes the coordinates followed by the constants, in the order
-    of `constant_names`, and returns the flat list of entries.  Each object
-    built from the template binds its own values.
+    `arrays` holds the compiled array (see `_array`) of the expressions and
+    of each derivative order; its functions take the coordinates and the
+    constants, in the order of `constant_names`.  Each object built from the
+    template binds its own values.
     """
 
     def __init__(self, names, texts, constant_names, order, axis_first):
@@ -308,7 +350,7 @@ class Template:
                 else:
                     trees = [_diff(t, x) for t in trees for x in xs]
                     shape = shape + (len(xs),)
-            self.arrays.append((shape, _function(self.arguments, trees)))
+            self.arrays.append(_array(shape, trees, self.arguments, self.dim))
 
     def symmetric(self, constants):
         """Whether a square template is symmetric at these constant values:
@@ -324,16 +366,16 @@ class Template:
         if not unequal:
             return True
         probes = np.random.default_rng(0).uniform(0.5, 1.5, (8, self.dim))
-        fn = _bind(_function(self.arguments, unequal), (len(unequal),), values)
         with np.errstate(all="ignore"):
-            got = fn(probes).T
+            got = _bind(_array((len(unequal),), unequal, self.arguments, self.dim),
+                        values)(probes).T
         return np.allclose(got[0::2], got[1::2], rtol=1e-12, atol=0.0, equal_nan=True)
 
     def bind(self, constants=None):
         """Blockwise callables for the expressions and each derivative
         order, with `constants` (name -> value) fixed."""
         values = tuple(float(constants[c]) for c in self.constant_names)
-        return [_bind(fn, shape, values) for shape, fn in self.arrays]
+        return [_bind(array, values) for array in self.arrays]
 
 
 def _texts(nested):

@@ -15,6 +15,7 @@ a typed error, so no report holds a NaN.
 """
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -46,6 +47,12 @@ class ExtrinsicData(NodeBundle):
     h_norm2: float               # g(H, H)
 
 
+@functools.cache
+def _upper(d):
+    """np.triu_indices(d), computed once per dimension."""
+    return np.triu_indices(d)
+
+
 def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     """K, H and g(H, H) at a block of parameter points (N, d), via the
     ambient connection and normal projection, in one pass of array calls.
@@ -59,7 +66,7 @@ def extrinsic_block(E: Embedding, us) -> ExtrinsicData:
     gam_e = gam @ data.frame[:, None]                   # [k, mu, rho, b]
     grad = hess + np.swapaxes(data.frame, 1, 2)[:, None] @ gam_e
     # project the a <= b entries in one block and mirror them
-    a, b = np.triu_indices(E.dim)
+    a, b = _upper(E.dim)
     _, normal = E.decompose(grad[:, :, a, b], data)
     shape = np.empty_like(grad)
     shape[:, :, a, b] = shape[:, :, b, a] = -normal

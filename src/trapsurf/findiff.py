@@ -1,14 +1,33 @@
-"""Central finite-difference stencils on blocks of points.
+"""Derivatives of block callables, for when no analytic derivative callback
+is supplied.
 
-Used as the fallback whenever analytic derivative callbacks are not
-supplied.  The stencil is an extra axis on the block: the shifted points
-of all nodes are stacked and handed to `f`, which maps a block of points
-(M, n) to values (M, ...), in blocks of at most BLOCK_NODES points.  First
-derivatives use the 4th-order 5-point stencil (`gradient`) or the 3-point
-one (`gradient3`) with per-node step h = eps**(1/3) * (1 + |x|).  Both are
-limited by roundoff there, O(eps**(2/3)), and the 3-point O(h**2) truncation
-is of that order too.  Second derivatives (4th order) use the wider-optimal
-h = eps**(1/6) * (1 + |x|) so that roundoff and truncation balance.
+A callable `f` maps a block of points (M, n) to values (M, ...).  Every
+derivative stacks its shifted points on an extra axis of the block and hands
+them to `f` in blocks of at most BLOCK_NODES points.  Which path runs depends
+on who made `f`:
+
+- A callable made by the expression compiler (marked `compiled`, see
+  `expressions._bind`) takes complex steps.  The gradient is
+  Im f(x + i h e_i) / h with h = 1e-30: no difference is taken, so it is
+  exact to roundoff at any step.  The hessian applies the real 4-point
+  first-derivative stencil in x_j, with step s = eps**(1/5) * (1 + |x|), to
+  f(x + i h e_i), takes the imaginary part over h and symmetrizes; its
+  O(s**4) truncation balances the O(eps / s) roundoff.  Neither sees the
+  1/sin**2 loss of a real second difference near a chart pole.
+- Every other callable gets real central stencils: first derivatives by the
+  4th-order 5-point stencil (`gradient`) or the 3-point one (`gradient3`,
+  always real) with per-node step h = eps**(1/3) * (1 + |x|), and second
+  derivatives (4th order) by h = eps**(1/6) * (1 + |x|), so that roundoff
+  and truncation balance.
+
+A complex step across a branch point of the grammar (sqrt or log of a
+negative number) or from one (sqrt(0)) returns a finite, wrong value.  So
+the complex path first evaluates `f` in real arithmetic at real points
+around x (x and x +- h e_j for the gradient, with the real gradient's step
+h; x +- s e_j and x +- 2s e_j for the hessian) and raises DerivativeFailure
+if any value there is not finite: where the real stencils would have failed
+too, short of a branch point that lies between h and 2h from x along an
+axis, where the complex gradient is right.
 """
 
 import numpy as np
@@ -19,21 +38,25 @@ from .quadrature import node_blocks
 _EPS = np.finfo(float).eps
 STEP_FIRST = _EPS ** (1.0 / 3.0)
 STEP_SECOND = _EPS ** (1.0 / 6.0)
+STEP_COMPLEX = 1e-30
+STEP_MIXED = _EPS ** (1.0 / 5.0)
 _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _COEFFS = (1.0, -8.0, 8.0, -1.0)
 
 
-def _eval(f, points):
-    """f at every stencil point, as (len(points), N, ...); the stacked
-    points are evaluated in blocks of at most BLOCK_NODES."""
+def _eval(f, points, dtype=float):
+    """f at every stencil point, as (len(points), N, ...) of `dtype`: points
+    is a sequence of blocks (N, n), stacked and evaluated in blocks of at
+    most BLOCK_NODES."""
+    points = np.asarray(points)
     try:
-        values = np.concatenate([np.asarray(f(block), dtype=float) for block in
-                                 node_blocks(np.concatenate(points))])
+        values = np.concatenate([np.asarray(f(block), dtype=dtype) for block in
+                                 node_blocks(points.reshape(-1, points.shape[-1]))])
     except PointOutsideChart as exc:
         raise DerivativeFailure(
             f"finite-difference stencil left the chart domain: {exc}"
         ) from exc
-    return values.reshape((len(points), len(points[0])) + values.shape[1:])
+    return values.reshape(points.shape[:2] + values.shape[1:])
 
 
 def _shift(x, h, axis, offset):
@@ -48,12 +71,34 @@ def _per_node(h, values):
     return h.reshape(h.shape + (1,) * (values.ndim - 1))
 
 
+def _axis_points(x, step, offsets):
+    """x + o step_j e_j for each axis j and each offset o, as
+    (n * len(offsets), N, n), the offsets of one axis together."""
+    n = x.shape[1]
+    shifts = step.T[:, None, :, None] * np.eye(n)[:, None, None, :]   # step_j e_j
+    return (x + np.asarray(offsets)[:, None, None] * shifts).reshape(-1, len(x), n)
+
+
+def _finite_at(f, x, points):
+    """Raise DerivativeFailure unless f is finite at the real stencil
+    `points` of every node of the block x."""
+    values = _eval(f, points)
+    bad = ~np.isfinite(values.reshape(len(points), len(x), -1)).all(axis=(0, 2))
+    if bad.any():
+        raise DerivativeFailure(f"derivative stencil at {x[np.argmax(bad)]} meets a "
+                                "non-finite value")
+
+
 def gradient(f, x):
     """All first partials at a block x (N, n): result[k, i] = d f / d x[i]
     at node k."""
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
     h = STEP_FIRST * (1.0 + np.abs(x))
+    if getattr(f, "compiled", False):
+        _finite_at(f, x, np.concatenate([x[None], _axis_points(x, h, (-1.0, 1.0))]))
+        steps = x + STEP_COMPLEX * 1j * np.eye(n)[:, None, :]   # x + i h e_i, (n, N, n)
+        return np.moveaxis(_eval(f, steps, complex).imag / STEP_COMPLEX, 0, 1)
     points = [_shift(x, h, i, o) for i in range(n) for o in _OFFSETS]
     vals = _eval(f, points)
     out = []
@@ -78,6 +123,8 @@ def hessian(f, x):
     d^2 f / dx[i] dx[j] at node k (symmetric)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
+    if getattr(f, "compiled", False):
+        return _complex_hessian(f, x)
     h = STEP_SECOND * (1.0 + np.abs(x))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     points = [x] + [_shift(x, h, i, o) for i in range(n) for o in _OFFSETS]
@@ -102,3 +149,19 @@ def hessian(f, x):
         out[:, i, j] = val
         out[:, j, i] = val
     return out
+
+
+def _complex_hessian(f, x):
+    """`hessian` of a compiled f: the 4-point stencil in x_j of
+    Im f(x + i h e_i) / h, symmetrized."""
+    n, nodes = x.shape[1], len(x)
+    s = STEP_MIXED * (1.0 + np.abs(x))
+    real = _axis_points(x, s, _OFFSETS)
+    _finite_at(f, x, real)
+    steps = real + STEP_COMPLEX * 1j * np.eye(n)[:, None, None, :]   # [i, (j, o)] + i h e_i
+    vals = _eval(f, steps.reshape(-1, nodes, n), complex).imag
+    tail = vals.shape[2:]
+    # d[i, j, k] = d_j (d_i f) at node k, over the stencil's 12 s_j h
+    d = np.tensordot(_COEFFS, vals.reshape((n, n, 4, nodes) + tail), axes=(0, 2))
+    d /= (12.0 * STEP_COMPLEX * s.T).reshape((1, n, nodes) + (1,) * len(tail))
+    return np.moveaxis(0.5 * (d + np.swapaxes(d, 0, 1)), 2, 0)

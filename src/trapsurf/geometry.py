@@ -103,7 +103,7 @@ class VectorField:
     """Ambient vector field: value(p) -> contravariant components xi^mu.
 
     `jacobian(p)` returns J[mu, nu] = d_nu xi^mu; when absent it is
-    replaced by 4th-order finite differences of `value`.  Callables not
+    replaced by a finite difference of `value` (see `findiff`).  Callables not
     marked blockwise are lifted to blocks (one call per node).
     """
 
@@ -195,10 +195,15 @@ class MetricField:
 
     def partials_block(self, points):
         """dg[k, rho, mu, nu] = d_rho g_{mu nu} at each point of a block,
-        analytic or finite-difference."""
+        analytic or finite-difference.  Compiled components take complex
+        steps (see `findiff`), which stay at the checked real points;
+        `metric_block`'s float cast would drop their imaginary part."""
         points = self._check_chart(points)
         if self.derivatives is not None:
             return np.asarray(self.derivatives(points), dtype=float)
+        if getattr(self.components, "compiled", False):
+            dg = findiff.gradient(self.components, points)
+            return 0.5 * (dg + np.swapaxes(dg, -1, -2))
         return findiff.gradient(self.metric_block, points)
 
     def christoffel_block(self, points, g_inv=None, dg=None):

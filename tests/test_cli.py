@@ -514,7 +514,7 @@ def _tuple_in_map(cfg):
     cfg["embedding"]["inline"]["map"][1] = "(R, 1)"
 
 
-# constant-only arithmetic runs in Python numbers at the first evaluation
+# constant-only arithmetic runs in Python numbers when the object is built
 def _constant_division_by_zero(cfg):
     cfg["embedding"]["inline"]["constants"] = {"R": 1.5}
     cfg["embedding"]["inline"]["map"][0] = "R + 1/(R - 1.5)"
@@ -544,6 +544,19 @@ def test_inline_config_errors_are_config_errors(tmp_path, capsys, mutate):
     code, _, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
     assert code == 64
     assert json.loads(err)["error"]["type"] in ("ConfigError", "InvalidExpression")
+
+
+def test_failing_constant_metric_arithmetic_is_an_invalid_expression(tmp_path, capsys):
+    cfg = _inline_sphere_config()
+    cfg["metric"]["inline"]["components"][1][1] = "1 + 1/c"
+    cfg["metric"]["inline"]["constants"] = {"c": 0}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "classify", "--config", str(path), "--grid", "4,4")
+    assert (code, out) == (64, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidExpression"
+    assert "constant arithmetic" in error["message"]
 
 
 def _all_plus_metric(cfg):

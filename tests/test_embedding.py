@@ -209,6 +209,29 @@ def test_finite_difference_frames_match_analytic(rng):
                        atol=1e-6)
 
 
+def test_a_per_point_chart_map_keeps_the_real_stencils(rng):
+    # a per-point map may cast with float(), which a complex block would
+    # turn into a ComplexWarning (an error under this suite's settings)
+    sphere = cat("round_sphere")
+    seen = []
+
+    def per_point(u):
+        seen.append(np.asarray(u).dtype)
+        th, ph = float(u[0]), float(u[1])
+        return [0.0, 2.0 * math.sin(th) * math.cos(ph), 2.0 * math.sin(th) * math.sin(ph),
+                2.0 * math.cos(th)]
+
+    fd = Embedding(ambient=sphere.ambient, dim=2, chart_map=per_point,
+                   param_domain=sphere.param_domain)
+    us = np.array([sphere.random_parameter_point(rng) for _ in range(5)])
+    assert np.allclose(fd.frame_block(us), sphere.frame_block(us), atol=1e-8)
+    assert len(seen) == 4 * 2 * 5                      # 4 points per axis
+    assert np.allclose(fd.second_frame_block(us), sphere.second_frame_block(us),
+                       atol=1e-6)
+    assert len(seen) == (8 + 1 + 8 + 16) * 5           # and 1 + 4d + 8d(d - 1)
+    assert set(seen) == {np.dtype(float)}
+
+
 def test_numpy_chart_map_supported():
     emb = Embedding(
         ambient=cat("minkowski"), dim=1,

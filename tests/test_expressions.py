@@ -113,11 +113,46 @@ def test_a_syntax_warning_is_an_invalid_expression(recwarn):
 @pytest.mark.parametrize("text", ["R + 1/(R - 1.5)", "R + 0**(-1)", "R + 10**400",
                                   "10**400"])
 def test_failing_constant_arithmetic_is_an_invalid_expression(text):
-    # arithmetic with a constant's value fails at the first evaluation,
-    # literal-only arithmetic already when the template is built (below)
+    # arithmetic with a constant's value fails when the template is bound,
+    # literal-only arithmetic already when it is built (below)
     with pytest.raises(InvalidExpression, match="constant arithmetic"):
         fn, = template(NAMES, [text], {"R": 1.5}).bind({"R": 1.5})
         fn([[2.0, 0.5]])
+
+
+@pytest.mark.parametrize("text", ["R + 1/(R - 1.5)", "pow(R - 1.5, -1)", "(R - 1.5)**-2"])
+def test_failing_constant_only_arithmetic_fails_when_bound(text):
+    # a coordinate-free entry is evaluated once per bind, not per block
+    compiled = template(NAMES, [["r", text]], {"R": 1.5})
+    compiled.bind({"R": 2.0})
+    with pytest.raises(InvalidExpression, match="constant arithmetic"):
+        compiled.bind({"R": 1.5})
+
+
+def test_failing_constant_arithmetic_in_a_coordinate_entry_fails_when_evaluated():
+    fn, = template(NAMES, ["r * (1/(R - 1.5))"], {"R": 1.5}).bind({"R": 1.5})
+    with pytest.raises(InvalidExpression, match="constant arithmetic"):
+        fn([[2.0, 0.5]])
+
+
+@pytest.mark.parametrize("text", ["pow(R, 0.5)", "r * R**0.5"])
+def test_a_complex_constant_power_is_an_invalid_expression(text):
+    # Python's power of a negative float is complex, and a float array
+    # would keep only its real part
+    compiled = template(NAMES, [text], {"R": -1.0})
+    with pytest.raises(InvalidExpression, match="complex value"):
+        fn, = compiled.bind({"R": -1.0})
+        fn([[2.0, 0.5]])
+
+
+def test_constant_entries_fill_every_row_and_keep_a_complex_block():
+    fn, = template(NAMES, [["R", "r * th"], ["0", "sin(th)"]], {"R": 1.5}).bind({"R": 1.5})
+    x = np.array([[2.0, 0.5], [3.0, -1.0]])
+    assert np.array_equal(fn(x), [[[1.5, 1.0], [0.0, math.sin(0.5)]],
+                                  [[1.5, -3.0], [0.0, math.sin(-1.0)]]])
+    z = fn(x + 1e-30j)
+    assert z.dtype == complex and np.array_equal(z.real, fn(x))
+    assert np.array_equal(z.imag[:, 0, 0], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("text", ["R + 7**7**9", "R + 7**(7**7)", "pow(7, pow(7, 7))",

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from trapsurf import catalog
 from trapsurf.embedding import Embedding, embedding_from_expressions
-from trapsurf.errors import ConfigError, NotLorentzian, NotNormal, NotSpacelike
+from trapsurf.errors import (ConfigError, DerivativeFailure, NotLorentzian, NotNormal,
+                             NotSpacelike)
 from trapsurf.expressions import blockwise
 from trapsurf.extrinsic import (
     LabelColumns,
@@ -28,7 +29,7 @@ from trapsurf.extrinsic import (
     second_fundamental_form,
 )
 from trapsurf.geometry import (_CAUSAL_CODES, _TIME_CODES, NULL_BAND_TOL, Causal,
-                               TimeOrientation, metric_from_expressions)
+                               MetricField, TimeOrientation, metric_from_expressions)
 from trapsurf.quadrature import GridSpec
 
 from conftest import cat
@@ -250,6 +251,87 @@ def test_finite_differences_match_the_analytic_extrinsic_bundle(rng):
                          (analytic.h_norm2, fd.h_norm2)):
                 err = (np.abs(f - a) / np.maximum(1.0, np.abs(a))).reshape(len(us), -1)
                 assert np.all(err.max(axis=1) <= bound), emb.name
+
+
+@pytest.mark.parametrize("theta", [1e-3, math.pi - 1e-3])
+@pytest.mark.parametrize("name", ["round_sphere", "comoving_sphere_rw"])
+def test_finite_differences_keep_their_accuracy_at_a_pole(name, theta):
+    # a real second difference loses accuracy like 1/sin^2(theta) near a
+    # pole (1e-6 relative here); a complex step takes no difference across it
+    emb = cat(name)
+    us = np.array([[theta, phi] for phi in (0.0, 1.0, 4.0)])
+    analytic = extrinsic_block(emb, us)
+    fd = extrinsic_block(emb.without_analytic_derivatives(), us)
+    absg = analytic.base.absg
+
+    def ref_norm(v):
+        return np.sqrt(np.einsum("km,kmn,kn->k", v, absg, v))
+
+    err = ref_norm(fd.mean_curvature - analytic.mean_curvature)
+    assert np.all(err <= 1e-10 * ref_norm(analytic.mean_curvature))
+
+
+def _sqrt_map_surface():
+    # sqrt(c - u1**2) is real at u1 = 0.7746 but not at the hessian's real
+    # stencil points u1 + s and u1 + 2s, where a complex step is finite and wrong
+    c = 0.7746 ** 2 + 1e-3
+    return embedding_from_expressions(cat("minkowski"), ("u1", "u2"),
+                                      ["0", "u1", "u2", "sqrt(c - u1**2)"],
+                                      param_domain=[(-1.0, 1.0)] * 2, constants={"c": c})
+
+
+def _sqrt_metric_plane():
+    # d_x sqrt(x) is infinite at x = 0, where a complex step gives 7e14
+    metric = metric_from_expressions(
+        ("t", "x", "y", "z"), [["-1", "0", "0", "0"], ["0", "1 + sqrt(x)", "0", "0"],
+                               ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        time_orientation=["1", "0", "0", "0"])
+    return embedding_from_expressions(metric, ("u1", "u2"), ["0", "u1", "u2", "0"],
+                                      param_domain=[(-1.0, 1.0)] * 2)
+
+
+@pytest.mark.parametrize("build, u", [(_sqrt_map_surface, [0.7746, 0.1]),
+                                      (_sqrt_metric_plane, [0.0, 0.3])])
+def test_a_complex_step_near_a_branch_point_is_a_derivative_failure(build, u):
+    emb = build()
+    with np.errstate(all="ignore"):
+        with pytest.raises(DerivativeFailure, match="non-finite"):
+            extrinsic_data(emb.without_analytic_derivatives(), u)
+
+
+def test_finite_difference_rows_per_node(monkeypatch):
+    # complex steps, per node: the chart map at 2 + 7d + 4d^2 rows (the
+    # point; the gradient's 1 + 2d real guard rows and d steps; the
+    # hessian's 4d real guard rows and 4d^2 steps), the components at
+    # 2 + 3D (g; dg's 1 + 2D guard rows and D steps), and metric_block at
+    # the node alone
+    emb = cat("round_sphere").without_analytic_derivatives()
+    rows = {"map": 0, "components": 0, "metric_block": 0}
+
+    def counting(key, fn):
+        def wrapped(x):
+            rows[key] += len(x)
+            return fn(x)
+
+        wrapped.compiled = fn.compiled
+        return blockwise(wrapped)
+
+    metric_block = MetricField.metric_block
+
+    def counting_metric_block(self, points):
+        rows["metric_block"] += len(points)
+        return metric_block(self, points)
+
+    monkeypatch.setattr(MetricField, "metric_block", counting_metric_block)
+    counted = replace(emb, chart_map=counting("map", emb.chart_map),
+                      ambient=replace(emb.ambient, components=counting(
+                          "components", emb.ambient.components)))
+    us = np.array([emb.random_parameter_point(np.random.default_rng(k)) for k in range(5)])
+    ext = extrinsic_block(counted, us)
+    d, dim = emb.dim, emb.ambient.dim
+    assert rows == {"map": (2 + 7 * d + 4 * d * d) * 5, "components": (2 + 3 * dim) * 5,
+                    "metric_block": 5}
+    assert np.array_equal(ext.mean_curvature, extrinsic_block(emb, us).mean_curvature)
 
 
 def test_null_normal_pair_requires_spacelike_codim2():
